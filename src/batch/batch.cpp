@@ -1,7 +1,6 @@
 #include "batch/batch.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -669,59 +668,13 @@ RunResult BatchedSystem::run(const RunOptions& opts) {
   if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
   mode_ = opts.schedule;
 
-  const std::uint64_t budget = opts.cycle_budget;
-  const double wall = opts.wall_clock_s;
-
-  RunResult r;
-  const std::uint64_t retry0 = retry_passes_total_;
-  const std::uint64_t level0 = levelized_cycles_total_;
-  const std::uint64_t fired0 = fired_lanes_total_;
-  watchdog_tripped_ = false;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < opts.cycles; ++i) {
-    if (budget != 0 && cycles_ >= budget) {
-      auto& d = diagnostics().fatal(
-          "WATCHDOG-001", "batched simulator",
-          "cycle budget (" + std::to_string(budget) + ") exhausted after " +
-              std::to_string(i) + " of " + std::to_string(opts.cycles) +
-              " requested cycles; stopping run");
-      d.cycle = cycles_;
-      watchdog_tripped_ = true;
-      r.stop = StopReason::kCycleBudget;
-      break;
-    }
-    if (wall > 0.0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= wall) {
-        auto& d = diagnostics().fatal(
-            "WATCHDOG-002", "batched simulator",
-            "wall-clock limit (" + std::to_string(wall) +
-                " s) exceeded after " + std::to_string(i) + " of " +
-                std::to_string(opts.cycles) +
-                " requested cycles; stopping run");
-        d.cycle = cycles_;
-        watchdog_tripped_ = true;
-        r.stop = StopReason::kWallClock;
-        break;
-      }
-    }
-    cycle();
-    ++r.cycles;
-    if (opts.on_cycle_end) opts.on_cycle_end(cycles_);
-    if (opts.checkpoint_every != 0 && opts.on_checkpoint &&
-        (i + 1) % opts.checkpoint_every == 0) {
-      opts.on_checkpoint(cycles_);
-      ++r.checkpoints;
-    }
-  }
-  r.retry_passes = retry_passes_total_ - retry0;
-  r.levelized_cycles = levelized_cycles_total_ - level0;
-  r.firings = fired_lanes_total_ - fired0;
-  r.schedule = (r.levelized_cycles > 0 && r.levelized_cycles * 2 >= r.cycles)
-                   ? ScheduleMode::kLevelized
-                   : ScheduleMode::kIterative;
-  return r;
+  return run_cycles(
+      opts, "batched simulator", diagnostics(), watchdog_tripped_,
+      [&] {
+        return CycleTotals{cycles_, fired_lanes_total_, retry_passes_total_,
+                           levelized_cycles_total_};
+      },
+      [&] { cycle(); });
 }
 
 void BatchedSystem::reset() {

@@ -66,8 +66,8 @@ struct TraceOptions {
   /// Host compiler for engines that compile generated code (cppgen, jit).
   std::string cxx = "c++";
   /// Artifact-store directory override for engines with cacheable compile
-  /// products (jit). Empty = the $ASICPP_STORE_DIR / $ASICPP_JIT_CACHE /
-  /// $XDG_CACHE_HOME resolution chain (see pipeline/artifact.h).
+  /// products (jit). Empty = the $ASICPP_STORE_DIR / $XDG_CACHE_HOME
+  /// resolution chain (see pipeline/artifact.h).
   std::string store_dir;
   /// Lane count for the batched engine: the spec replays in every lane of
   /// an N-wide SoA batch, the reported trace comes from lane seed % N, and

@@ -40,18 +40,6 @@ std::string scratch_dir(const TraceOptions& opts) {
   return "/tmp";
 }
 
-/// Run `cmd` through the shell, capturing stdout+stderr.
-int run_command(const std::string& cmd, std::string* out) {
-  FILE* p = popen((cmd + " 2>&1").c_str(), "r");
-  if (p == nullptr) {
-    *out = "popen failed";
-    return -1;
-  }
-  char buf[512];
-  while (std::fgets(buf, sizeof buf, p) != nullptr) *out += buf;
-  return pclose(p);
-}
-
 jit::JitOptions jit_options(const TraceOptions& opts) {
   jit::JitOptions jo;
   jo.cxx = opts.cxx;
@@ -402,14 +390,14 @@ class CppgenInstance : public Instance {
       cs.emit_cpp(os, probes_, spec.cycles);
     }
     std::string text;
-    if (run_command(opts.cxx + " -O2 -std=c++17 -o " + bin + " " + src,
-                    &text) != 0) {
+    if (jit::run_command(opts.cxx + " -O2 -std=c++17 -o " + bin + " " + src,
+                         &text) != 0) {
       std::remove(src.c_str());
       throw std::runtime_error("generated simulator failed to compile: " +
                                text);
     }
     text.clear();
-    const int rc = run_command(bin, &text);
+    const int rc = jit::run_command(bin, &text);
     std::remove(src.c_str());
     std::remove(bin.c_str());
     if (rc != 0)

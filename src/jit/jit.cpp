@@ -6,374 +6,24 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "ckpt/snapshot.h"
-#include "opt/semantics.h"
 #include "par/pool.h"
 #include "pipeline/artifact.h"
 
 namespace asicpp::jit {
 
 using CS = sim::CompiledSystem;
-
-// ---------------------------------------------------------------------------
-// Source emission. The generated unit mirrors cppgen's function-per-tape
-// shape, but every function takes the JitState block instead of touching
-// file globals, so one shared object can drive any number of instances and
-// the host keeps owning slots, tokens, external drives and snapshots.
-
-struct Emitter {
-  const CS& cs;
-  using Kind = CS::Kind;
-
-  void emit_instr(std::ostream& os, const sim::Instr& i) const {
-    const auto s = [](std::int32_t x) { return "S[" + std::to_string(x) + "]"; };
-    os << "  " << s(i.dst) << " = ";
-    if (i.op == sfg::Op::kCount) {
-      os << (i.quant ? opt::cpp_quantize_expr(s(i.a), i.fmt) : s(i.a));
-    } else {
-      os << opt::cpp_op_expr(i.op, s(i.a), i.b >= 0 ? s(i.b) : "0.0",
-                             i.c >= 0 ? s(i.c) : "0.0", i.fmt);
-    }
-    os << ";\n";
-  }
-
-  // Local aliases at the top of every generated function keep the
-  // instruction text identical to cppgen's (`S[i]`, `T[i]`).
-  void emit_prologue(std::ostream& os) const {
-    os << "  double* S = st->S; unsigned char* T = st->T;\n"
-       << "  (void)S; (void)T;\n";
-  }
-
-  void emit(std::ostream& os) const {
-    os << "// Generated by asicpp (in-process JIT engine).\n";
-    os << "#include <cmath>\n\n";
-    os << "struct AsicppJitState {\n"
-       << "  double* S;\n  unsigned char* T;\n"
-       << "  int* state;\n  int* fired;\n  int* sel;\n  int* pending;\n"
-       << "  int deadlock;\n  int dl_comp;\n  long long dl_op;\n"
-       << "  void* host;\n  int (*fire_untimed)(void* host, int comp);\n"
-       << "};\ntypedef AsicppJitState St;\n\n";
-    os << "static long long ll(double v) { return (long long)std::llround(v); }\n";
-    os << R"(static double q(double v, int frac, double hi, double lo, int rnd, int sat, double span) {
-  double scaled = std::ldexp(v, frac);
-  double mant = rnd ? std::round(scaled) : std::floor(scaled);
-  double mhi = std::ldexp(hi, frac), mlo = std::ldexp(lo, frac);
-  if (mant > mhi || mant < mlo) {
-    if (sat) {
-      mant = mant > mhi ? mhi : mlo;
-    } else {
-      mant = std::fmod(mant - mlo, span);
-      if (mant < 0) mant += span;
-      mant += mlo;
-    }
-  }
-  return std::ldexp(mant, -frac);
-}
-)";
-
-    emit_sfgs(os);
-    emit_comps(os);
-    emit_begin(os);
-    emit_walk(os);
-    emit_finish(os);
-
-    os << "extern \"C\" int asicpp_jit_cycle(St* st, int walk) {\n"
-       << "  asicpp_jit_begin(st);\n";
-    if (cs.levelizable_) os << "  if (walk) jit_walk(st);\n";
-    os << "  (void)walk;\n  return asicpp_jit_finish(st);\n}\n\n";
-
-    os << "extern \"C\" unsigned asicpp_jit_abi(void) { return " << kJitAbi
-       << "u; }\n";
-    os << "extern \"C\" unsigned long long asicpp_jit_ir_hash(void) { return "
-       << cs.ir_hash_ << "ULL; }\n";
-  }
-
-  void emit_push(std::ostream& os, const CS::SfgCode::Push& p) const {
-    os << "  S[" << cs.net_slots_[static_cast<std::size_t>(p.net)] << "] = S["
-       << p.src << "]; T[" << p.net << "] = 1;\n";
-  }
-
-  void emit_sfgs(std::ostream& os) const {
-    for (std::size_t k = 0; k < cs.sfgs_.size(); ++k) {
-      const CS::SfgCode& s = cs.sfgs_[k];
-      os << "static void sfg" << k << "_pre(St* st) {\n";
-      emit_prologue(os);
-      for (const auto& i : s.pre) emit_instr(os, i);
-      for (const auto& p : s.pre_pushes) emit_push(os, p);
-      os << "}\n";
-      os << "static int sfg" << k << "_ready(St* st) {\n"
-         << "  unsigned char* T = st->T; (void)T;\n  return 1";
-      for (const auto n : s.required_nets) os << " && T[" << n << "]";
-      os << ";\n}\n";
-      os << "static void sfg" << k << "_main(St* st) {\n";
-      emit_prologue(os);
-      for (const auto& i : s.load_inputs) emit_instr(os, i);
-      for (const auto& i : s.main) emit_instr(os, i);
-      for (const auto& p : s.main_pushes) emit_push(os, p);
-      os << "}\n";
-      os << "static void sfg" << k << "_commit(St* st) {\n";
-      emit_prologue(os);
-      for (const auto& c : s.commits) {
-        const std::string src = "S[" + std::to_string(c.src) + "]";
-        os << "  S[" << c.dst << "] = "
-           << (c.has_fmt ? opt::cpp_quantize_expr(src, c.fmt) : src) << ";\n";
-      }
-      os << "}\n\n";
-    }
-  }
-
-  void emit_comps(std::ostream& os) const {
-    for (std::size_t ci = 0; ci < cs.comps_.size(); ++ci) {
-      const CS::Comp& c = cs.comps_[ci];
-      std::vector<std::int32_t> sids;
-      if (c.kind == Kind::kDispatch) {
-        for (const auto& [op, sid] : c.table) {
-          (void)op;
-          sids.push_back(sid);
-        }
-        if (c.default_sfg >= 0) sids.push_back(c.default_sfg);
-      }
-      switch (c.kind) {
-        case Kind::kFsm: {
-          os << "static int comp" << ci << "_select(St* st) {\n";
-          emit_prologue(os);
-          os << "  switch (st->state[" << ci << "]) {\n";
-          for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-            os << "  case " << st << ":\n";
-            int ti = 0;
-            for (const auto& gt : c.by_state[st]) {
-              if (gt.always) {
-                os << "    return " << ti << ";\n";
-                break;
-              }
-              os << "    {\n";
-              for (const auto& i : gt.guard) {
-                os << "  ";
-                emit_instr(os, i);
-              }
-              os << "      if (S[" << gt.guard_slot << "] != 0.0) return " << ti
-                 << ";\n    }\n";
-              ++ti;
-            }
-            os << "    return -1;\n";
-          }
-          os << "  }\n  return -1;\n}\n";
-          os << "static int comp" << ci << "_try(St* st) {\n";
-          os << "  if (st->fired[" << ci << "] || st->pending[" << ci
-             << "] < 0) return 0;\n";
-          os << "  switch (st->state[" << ci << "] * 64 + st->pending[" << ci
-             << "]) {\n";
-          for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-            for (std::size_t ti = 0; ti < c.by_state[st].size(); ++ti) {
-              os << "  case " << st * 64 + ti << ": if (1";
-              for (const auto sid : c.by_state[st][ti].sfgs)
-                os << " && sfg" << sid << "_ready(st)";
-              os << ") {";
-              for (const auto sid : c.by_state[st][ti].sfgs)
-                os << " sfg" << sid << "_main(st);";
-              os << " st->fired[" << ci << "] = 1; return 1; } break;\n";
-            }
-          }
-          os << "  default: break;\n  }\n  return 0;\n}\n\n";
-          break;
-        }
-        case Kind::kSfg:
-          os << "static int comp" << ci << "_try(St* st) {\n";
-          os << "  if (st->fired[" << ci << "] || !sfg" << c.solo_sfg
-             << "_ready(st)) return 0;\n";
-          os << "  sfg" << c.solo_sfg << "_main(st); st->fired[" << ci
-             << "] = 1; return 1;\n}\n\n";
-          break;
-        case Kind::kDispatch: {
-          const auto islot =
-              cs.net_slots_[static_cast<std::size_t>(c.instr_net)];
-          os << "static int comp" << ci << "_decode(St* st) {\n";
-          os << "  long long op = ll(st->S[" << islot << "]);\n  switch (op) {\n";
-          for (const auto& [op, sid] : c.table)
-            os << "  case " << op << ": return " << sid << ";\n";
-          os << "  default: return " << c.default_sfg << ";\n  }\n}\n";
-          os << "static int comp" << ci << "_decode_try(St* st) {\n";
-          os << "  if (st->sel[" << ci << "] >= 0 || !st->T[" << c.instr_net
-             << "]) return 0;\n";
-          os << "  st->sel[" << ci << "] = comp" << ci << "_decode(st);\n";
-          os << "  if (st->sel[" << ci << "] < 0) { st->deadlock = 2; "
-             << "st->dl_comp = " << ci << "; st->dl_op = ll(st->S[" << islot
-             << "]); return 0; }\n";
-          os << "  switch (st->sel[" << ci << "]) {\n";
-          for (const auto sid : sids)
-            os << "  case " << sid << ": sfg" << sid << "_pre(st); break;\n";
-          os << "  default: break;\n  }\n  return 1;\n}\n";
-          os << "static int comp" << ci << "_try(St* st) {\n";
-          os << "  if (st->fired[" << ci << "] || st->sel[" << ci
-             << "] < 0) return 0;\n";
-          os << "  switch (st->sel[" << ci << "]) {\n";
-          for (const auto sid : sids)
-            os << "  case " << sid << ": if (sfg" << sid << "_ready(st)) { sfg"
-               << sid << "_main(st); st->fired[" << ci
-               << "] = 1; return 1; } break;\n";
-          os << "  default: break;\n  }\n  return 0;\n}\n\n";
-          break;
-        }
-        case Kind::kUntimed: {
-          // Native C++ closures stay on the host: the generated code only
-          // checks token availability and calls back.
-          os << "static int comp" << ci << "_try(St* st) {\n";
-          os << "  if (st->fired[" << ci << "]) return 0;\n";
-          os << "  if (1";
-          for (const auto n : c.in_nets) os << " && st->T[" << n << "]";
-          os << ") {\n";
-          os << "    int r = st->fire_untimed(st->host, " << ci << ");\n";
-          os << "    if (r < 0) { st->deadlock = 3; return 0; }\n";
-          os << "    if (r == 0) return 0;\n";
-          os << "    st->fired[" << ci << "] = 1; return 1;\n  }\n";
-          os << "  return 0;\n}\n\n";
-          break;
-        }
-      }
-    }
-  }
-
-  void emit_begin(std::ostream& os) const {
-    os << "extern \"C\" void asicpp_jit_begin(St* st) {\n";
-    os << "  st->deadlock = 0;\n";
-    // Phase 0: reset runtime flags, FSM transition selection.
-    for (std::size_t ci = 0; ci < cs.comps_.size(); ++ci) {
-      os << "  st->fired[" << ci << "] = 0; st->sel[" << ci << "] = -1;\n";
-      if (cs.comps_[ci].kind == Kind::kFsm)
-        os << "  st->pending[" << ci << "] = comp" << ci << "_select(st);\n";
-    }
-    // Phase 1: token production.
-    for (std::size_t ci = 0; ci < cs.comps_.size(); ++ci) {
-      const CS::Comp& c = cs.comps_[ci];
-      if (c.kind == Kind::kFsm) {
-        os << "  if (st->pending[" << ci << "] >= 0) switch (st->state[" << ci
-           << "] * 64 + st->pending[" << ci << "]) {\n";
-        for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-          for (std::size_t ti = 0; ti < c.by_state[st].size(); ++ti) {
-            os << "  case " << st * 64 + ti << ":";
-            for (const auto sid : c.by_state[st][ti].sfgs)
-              os << " sfg" << sid << "_pre(st);";
-            os << " break;\n";
-          }
-        }
-        os << "  default: break;\n  }\n";
-      } else if (c.kind == Kind::kSfg) {
-        os << "  sfg" << c.solo_sfg << "_pre(st);\n";
-      }
-    }
-    os << "}\n\n";
-  }
-
-  void emit_walk(std::ostream& os) const {
-    // Serial level walk + the per-slot entry the host's thread pool uses.
-    if (cs.levelizable_) {
-      os << "static void jit_walk(St* st) {\n";
-      os << "  // levelized static schedule: " << cs.sched_levels_
-         << " level(s)\n";
-      for (const auto& slot : cs.level_order_)
-        os << "  comp" << slot.comp << (slot.decode ? "_decode_try" : "_try")
-           << "(st);\n";
-      os << "}\n";
-      os << "extern \"C\" int asicpp_jit_try_slot(St* st, int k) {\n"
-         << "  switch (k) {\n";
-      for (std::size_t i = 0; i < cs.level_order_.size(); ++i)
-        os << "  case " << i << ": return comp" << cs.level_order_[i].comp
-           << (cs.level_order_[i].decode ? "_decode_try" : "_try")
-           << "(st);\n";
-      os << "  }\n  return 0;\n}\n\n";
-    } else {
-      os << "extern \"C\" int asicpp_jit_try_slot(St* st, int k) {\n"
-         << "  (void)st; (void)k;\n  return 0;\n}\n\n";
-    }
-  }
-
-  void emit_finish(std::ostream& os) const {
-    // Sweep loop (iterative fallback + deadlock detection) and phase 3.
-    // Untimed components are opportunistic: they keep all_done low but
-    // never count as blocked, exactly like CompiledSystem::comp_blocked.
-    os << "extern \"C\" int asicpp_jit_finish(St* st) {\n";
-    os << "  int iters = 0;\n  for (;;) {\n";
-    os << "    int progress = 0, all_done = 1;\n";
-    for (std::size_t ci = 0; ci < cs.comps_.size(); ++ci) {
-      const CS::Comp& c = cs.comps_[ci];
-      os << "    if (!st->fired[" << ci << "]";
-      if (c.kind == Kind::kFsm) os << " && st->pending[" << ci << "] >= 0";
-      os << ") {\n";
-      if (c.kind == Kind::kDispatch)
-        os << "      progress |= comp" << ci << "_decode_try(st);\n";
-      os << "      progress |= comp" << ci << "_try(st);\n";
-      os << "      if (!st->fired[" << ci << "]) all_done = 0;\n    }\n";
-    }
-    os << "    ++iters;\n";
-    os << "    if (st->deadlock) return -1;\n";
-    os << "    if (all_done) break;\n";
-    os << "    if (!progress || iters >= " << cs.max_iters_ << ") {\n";
-    os << "      int blocked = 0;\n";
-    for (std::size_t ci = 0; ci < cs.comps_.size(); ++ci) {
-      switch (cs.comps_[ci].kind) {
-        case Kind::kFsm:
-          os << "      blocked |= (st->pending[" << ci << "] >= 0 && !st->fired["
-             << ci << "]);\n";
-          break;
-        case Kind::kUntimed:
-          break;  // opportunistic, never blocked
-        default:
-          os << "      blocked |= !st->fired[" << ci << "];\n";
-          break;
-      }
-    }
-    os << "      if (blocked) { st->deadlock = 1; return -1; }\n";
-    os << "      break;\n    }\n  }\n";
-    // Phase 3: register commits + FSM state advance.
-    for (std::size_t ci = 0; ci < cs.comps_.size(); ++ci) {
-      const CS::Comp& c = cs.comps_[ci];
-      if (c.kind == Kind::kUntimed) continue;
-      os << "  if (st->fired[" << ci << "]) {\n";
-      if (c.kind == Kind::kFsm) {
-        os << "    switch (st->state[" << ci << "] * 64 + st->pending[" << ci
-           << "]) {\n";
-        for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-          for (std::size_t ti = 0; ti < c.by_state[st].size(); ++ti) {
-            os << "    case " << st * 64 + ti << ":";
-            for (const auto sid : c.by_state[st][ti].sfgs)
-              os << " sfg" << sid << "_commit(st);";
-            os << " st->state[" << ci << "] = " << c.by_state[st][ti].to
-               << "; break;\n";
-          }
-        }
-        os << "    default: break;\n    }\n";
-      } else if (c.kind == Kind::kSfg) {
-        os << "    sfg" << c.solo_sfg << "_commit(st);\n";
-      } else if (c.kind == Kind::kDispatch) {
-        os << "    switch (st->sel[" << ci << "]) {\n";
-        std::vector<std::int32_t> sids;
-        for (const auto& [op, sid] : c.table) {
-          (void)op;
-          sids.push_back(sid);
-        }
-        if (c.default_sfg >= 0) sids.push_back(c.default_sfg);
-        for (const auto sid : sids)
-          os << "    case " << sid << ": sfg" << sid << "_commit(st); break;\n";
-        os << "    default: break;\n    }\n";
-      }
-      os << "  }\n";
-    }
-    os << "  return iters - 1;\n}\n\n";
-  }
-};
+using sim::JitState;
+using sim::kJitAbi;
 
 // ---------------------------------------------------------------------------
 // Artifact cache: the shared content-addressed store (pipeline/artifact.h),
 // stage "jit". The key folds in the store revision, the jit format + ABI
 // revisions, the full compile command and the emitted source, so any skew
 // invalidates old entries instead of misloading them.
-
-namespace {
 
 int run_command(const std::string& cmd, std::string* out) {
   FILE* p = popen((cmd + " 2>&1").c_str(), "r");
@@ -385,8 +35,6 @@ int run_command(const std::string& cmd, std::string* out) {
   while (std::fgets(buf, sizeof buf, p) != nullptr) *out += buf;
   return pclose(p);
 }
-
-}  // namespace
 
 std::string cache_dir(const JitOptions& jopts) {
   return pipeline::ArtifactStore::resolve_dir(jopts.cache_dir);
@@ -452,7 +100,7 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
       jopts.diagnostics != nullptr ? *jopts.diagnostics : js.cs_.diagnostics();
 
   std::ostringstream src;
-  Emitter{js.cs_}.emit(src);
+  js.cs_.emit_unit(src);
   const std::string source = src.str();
 
   // Content key: store + format + ABI revision, the full compile command,
@@ -529,11 +177,6 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
 
 // ---------------------------------------------------------------------------
 // Runtime.
-
-void JitSystem::set_threads(unsigned n) {
-  threads_ = n == 0 ? par::Pool::hardware_lanes() : n;
-  cs_.set_threads(n);
-}
 
 JitState JitSystem::make_state() {
   JitState st;
@@ -622,9 +265,9 @@ void JitSystem::native_cycle() {
     cs_.slots_[static_cast<std::size_t>(r.slot)] = r.node->value.value();
 
   JitState st = make_state();
-  const bool walk = mode_ != ScheduleMode::kIterative && cs_.levelizable_;
+  const bool walk = cs_.mode_ != ScheduleMode::kIterative && cs_.levelizable_;
   const bool par_walk =
-      walk && threads_ > 1 && !par::Pool::in_parallel_region();
+      walk && cs_.threads_ > 1 && !par::Pool::in_parallel_region();
   int ret;
   if (par_walk) {
     fn_begin_(&st);
@@ -638,7 +281,7 @@ void JitSystem::native_cycle() {
         par::Pool::shared().parallel_for(
             e - b,
             [&](std::size_t k) { fn_try_slot_(&st, static_cast<int>(b + k)); },
-            threads_);
+            cs_.threads_);
       }
     }
     ret = fn_finish_(&st);
@@ -687,72 +330,27 @@ RunResult JitSystem::run(const RunOptions& opts) {
   if (!native_ || opts.profile) return cs_.run(opts);
 
   struct Restore {
-    JitSystem* s;
+    CS& cs;
     diag::DiagEngine* diag;
     ScheduleMode mode;
     unsigned threads;
     ~Restore() {
-      s->cs_.diag_ = diag;
-      s->mode_ = mode;
-      s->threads_ = threads;
+      cs.diag_ = diag;
+      cs.mode_ = mode;
+      cs.threads_ = threads;
     }
-  } restore{this, cs_.diag_, mode_, threads_};
+  } restore{cs_, cs_.diag_, cs_.mode_, cs_.threads_};
   if (opts.diagnostics != nullptr) cs_.diag_ = opts.diagnostics;
-  mode_ = opts.schedule;
-  threads_ = opts.nthreads == 0 ? par::Pool::hardware_lanes() : opts.nthreads;
+  cs_.mode_ = opts.schedule;
+  cs_.set_threads(opts.nthreads);
 
-  const std::uint64_t budget = opts.cycle_budget;
-  const double wall = opts.wall_clock_s;
-
-  RunResult r;
-  const std::uint64_t retry0 = cs_.retry_passes_total_;
-  const std::uint64_t level0 = cs_.levelized_cycles_total_;
-  const std::uint64_t fired0 = cs_.fired_total_.get();
-  cs_.watchdog_tripped_ = false;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < opts.cycles; ++i) {
-    if (budget != 0 && cs_.cycles_ >= budget) {
-      auto& d = cs_.diagnostics().fatal(
-          "WATCHDOG-001", "jit engine",
-          "cycle budget (" + std::to_string(budget) + ") exhausted after " +
-              std::to_string(i) + " of " + std::to_string(opts.cycles) +
-              " requested cycles; stopping run");
-      d.cycle = cs_.cycles_;
-      cs_.watchdog_tripped_ = true;
-      r.stop = StopReason::kCycleBudget;
-      break;
-    }
-    if (wall > 0.0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= wall) {
-        auto& d = cs_.diagnostics().fatal(
-            "WATCHDOG-002", "jit engine",
-            "wall-clock limit (" + std::to_string(wall) +
-                " s) exceeded after " + std::to_string(i) + " of " +
-                std::to_string(opts.cycles) + " requested cycles; stopping run");
-        d.cycle = cs_.cycles_;
-        cs_.watchdog_tripped_ = true;
-        r.stop = StopReason::kWallClock;
-        break;
-      }
-    }
-    native_cycle();
-    ++r.cycles;
-    if (opts.on_cycle_end) opts.on_cycle_end(cs_.cycles_);
-    if (opts.checkpoint_every != 0 && opts.on_checkpoint &&
-        (i + 1) % opts.checkpoint_every == 0) {
-      opts.on_checkpoint(cs_.cycles_);
-      ++r.checkpoints;
-    }
-  }
-  r.retry_passes = cs_.retry_passes_total_ - retry0;
-  r.levelized_cycles = cs_.levelized_cycles_total_ - level0;
-  r.firings = cs_.fired_total_.get() - fired0;
-  r.schedule = (r.levelized_cycles > 0 && r.levelized_cycles * 2 >= r.cycles)
-                   ? ScheduleMode::kLevelized
-                   : ScheduleMode::kIterative;
-  return r;
+  return run_cycles(
+      opts, "jit engine", cs_.diagnostics(), cs_.watchdog_tripped_,
+      [&] {
+        return CycleTotals{cs_.cycles_, cs_.fired_total_.get(),
+                           cs_.retry_passes_total_, cs_.levelized_cycles_total_};
+      },
+      [&] { native_cycle(); });
 }
 
 void JitSystem::reset() {

@@ -2,14 +2,14 @@
 //
 // Closes the gap EXPERIMENTS.md measures between the in-memory tape
 // simulator and the same generated C++ rebuilt with `c++ -O2` as a
-// standalone process: `JitSystem` emits the optimized lowered IR as a C++
-// translation unit (the cppgen emitter's function-per-tape shape, but
-// state-struct-parameterized instead of file-global), compiles it to a
-// shared object with the host toolchain, `dlopen`s it, and drives it
-// in-process over the *live* CompiledSystem slot arrays. External pin
-// drives, pokes, probes, snapshots and the deadlock post-mortem all keep
-// working because the native code shares the tape engine's state — only
-// the per-cycle evaluation is swapped for compiled code.
+// standalone process: `JitSystem` emits the optimized lowered IR as the
+// compiled system's C++ translation unit (sim/cppunit.h — the same unit the
+// standalone simulator wraps in a main()), compiles it to a shared object
+// with the host toolchain, `dlopen`s it, and drives it in-process over the
+// *live* CompiledSystem slot arrays. External pin drives, pokes, probes,
+// snapshots and the deadlock post-mortem all keep working because the
+// native code shares the tape engine's state — only the per-cycle
+// evaluation is swapped for compiled code.
 //
 // Compiled artifacts live in the shared content-addressed artifact store
 // (pipeline/artifact.h) under stage "jit", keyed by an FNV-1a content hash
@@ -38,34 +38,13 @@
 #include "opt/options.h"
 #include "sched/run.h"
 #include "sim/compiled.h"
+#include "sim/cppunit.h"
 
 namespace asicpp::jit {
 
 /// Cache format revision: participates in the artifact cache key, so a
 /// layout change invalidates old entries instead of misloading them.
 inline constexpr std::uint32_t kJitFormatVersion = 1;
-/// ABI revision of the state struct / exported symbols; the loaded object
-/// must report the same value.
-inline constexpr std::uint32_t kJitAbi = 1;
-
-/// The state block handed to every generated function. Mirrored textually
-/// in the emitted source; any change here bumps kJitAbi.
-struct JitState {
-  double* S = nullptr;         ///< CompiledSystem slot array
-  unsigned char* T = nullptr;  ///< net token flags
-  int* state = nullptr;        ///< per-component FSM state
-  int* fired = nullptr;        ///< per-component fired flag
-  int* sel = nullptr;          ///< per-component selected dispatch SFG
-  int* pending = nullptr;      ///< per-component pending FSM transition
-  int deadlock = 0;   ///< 0 none, 1 combinational, 2 unknown opcode, 3 host ex
-  int dl_comp = 0;    ///< component index for deadlock == 2
-  long long dl_op = 0;  ///< offending opcode for deadlock == 2
-  void* host = nullptr;
-  /// Host callback firing untimed component `comp` (native C++ closures
-  /// stay on the host side). Returns 1 fired, 0 inputs missing, -1 the
-  /// closure threw (the host rethrows after the cycle call unwinds).
-  int (*fire_untimed)(void* host, int comp) = nullptr;
-};
 
 struct JitOptions {
   /// Host compiler driver.
@@ -73,9 +52,9 @@ struct JitOptions {
   /// Extra flags between the driver and `-shared -fPIC`.
   std::string flags = "-O2 -std=c++17 -w";
   /// Artifact-store directory. Empty = the shared store's env chain:
-  /// $ASICPP_STORE_DIR, else $ASICPP_JIT_CACHE (legacy name), else
-  /// $XDG_CACHE_HOME/asicpp-store, else $HOME/.cache/asicpp-store, else
-  /// /tmp/asicpp-store (see pipeline/artifact.h).
+  /// $ASICPP_STORE_DIR, else $XDG_CACHE_HOME/asicpp-store, else
+  /// $HOME/.cache/asicpp-store, else /tmp/asicpp-store (see
+  /// pipeline/artifact.h).
   std::string cache_dir;
   /// Recompile even when a cached artifact exists.
   bool force_recompile = false;
@@ -117,13 +96,10 @@ class JitSystem {
 
   // --- pass-through surface (same behaviour as CompiledSystem) ---
 
-  void set_schedule_mode(ScheduleMode m) {
-    mode_ = m;
-    cs_.set_schedule_mode(m);
-  }
-  ScheduleMode schedule_mode() const { return mode_; }
-  void set_threads(unsigned n);
-  unsigned threads() const { return threads_; }
+  void set_schedule_mode(ScheduleMode m) { cs_.set_schedule_mode(m); }
+  ScheduleMode schedule_mode() const { return cs_.schedule_mode(); }
+  void set_threads(unsigned n) { cs_.set_threads(n); }
+  unsigned threads() const { return cs_.threads(); }
   void attach_diagnostics(diag::DiagEngine& de) { cs_.attach_diagnostics(de); }
   diag::DiagEngine& diagnostics() { return cs_.diagnostics(); }
   const opt::PassStats& pass_stats() const { return cs_.pass_stats(); }
@@ -146,7 +122,7 @@ class JitSystem {
  private:
   JitSystem() = default;
 
-  JitState make_state();
+  sim::JitState make_state();
   void sync_states_to_cs();
   void sync_states_from_cs();
   void sync_runtime_to_cs();
@@ -168,13 +144,11 @@ class JitSystem {
   std::string artifact_path_;
   std::shared_ptr<void> so_;  ///< dlopen handle (dlclose on last owner)
   // Exported entry points of the loaded object.
-  int (*fn_cycle_)(JitState*, int) = nullptr;
-  void (*fn_begin_)(JitState*) = nullptr;
-  int (*fn_try_slot_)(JitState*, int) = nullptr;
-  int (*fn_finish_)(JitState*) = nullptr;
+  int (*fn_cycle_)(sim::JitState*, int) = nullptr;
+  void (*fn_begin_)(sim::JitState*) = nullptr;
+  int (*fn_try_slot_)(sim::JitState*, int) = nullptr;
+  int (*fn_finish_)(sim::JitState*) = nullptr;
 
-  ScheduleMode mode_ = ScheduleMode::kAuto;
-  unsigned threads_ = 1;
   std::exception_ptr untimed_ex_;
   std::shared_ptr<std::mutex> ex_mu_;  ///< guards untimed_ex_ under threads
 };
@@ -183,5 +157,10 @@ class JitSystem {
 /// a thin wrapper over pipeline::ArtifactStore::resolve_dir (exposed for
 /// tests and the CI smoke tool).
 std::string cache_dir(const JitOptions& jopts = {});
+
+/// Run `cmd` through the shell, appending its stdout and stderr to `out`.
+/// Returns the pclose() status (-1 when the shell could not start). Used
+/// for the host-compiler runs of the JIT and of the cppgen engine.
+int run_command(const std::string& cmd, std::string* out);
 
 }  // namespace asicpp::jit

@@ -60,7 +60,7 @@ inline double apply_op_value(sfg::Op op, double a, double b, double c,
 }
 
 /// Double literal emitted as hexfloat so it round-trips exactly through
-/// the host compiler, matching the generated unit's stream mode.
+/// the host compiler.
 inline std::string cpp_double_lit(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", v);
@@ -80,10 +80,10 @@ inline std::string cpp_quantize_expr(const std::string& a,
 }
 
 /// C++ expression text computing `apply_op_value(op, a, b, c, fmt)` inside
-/// the generated standalone simulator. The emitted translation unit defines
-/// `ll(double)` (rounded integer interpretation) and `q(...)` (quantize);
-/// this helper's output references exactly those names, so the generated
-/// code and the in-process engines share one semantics definition.
+/// the generated C++ unit (sim/cppunit.h), which defines `ll(double)`
+/// (rounded integer interpretation) and `q(...)` (quantize); this helper's
+/// output references exactly those names, so the generated code and the
+/// in-process engines share one semantics definition.
 inline std::string cpp_op_expr(sfg::Op op, const std::string& a,
                                const std::string& b, const std::string& c,
                                const fixpt::Format& fmt) {

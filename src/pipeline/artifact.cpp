@@ -34,7 +34,6 @@ const char* nonempty_env(const char* name) {
 std::string ArtifactStore::resolve_dir(const std::string& explicit_dir) {
   if (!explicit_dir.empty()) return explicit_dir;
   if (const char* e = nonempty_env("ASICPP_STORE_DIR")) return e;
-  if (const char* e = nonempty_env("ASICPP_JIT_CACHE")) return e;
   if (const char* x = nonempty_env("XDG_CACHE_HOME"))
     return std::string(x) + "/asicpp-store";
   if (const char* h = nonempty_env("HOME"))

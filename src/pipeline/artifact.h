@@ -20,9 +20,8 @@
 // The directory resolves through an env chain so one knob relocates every
 // consumer (tests, CI, the service daemon):
 //
-//   explicit dir > $ASICPP_STORE_DIR > $ASICPP_JIT_CACHE (legacy name)
-//   > $XDG_CACHE_HOME/asicpp-store > $HOME/.cache/asicpp-store
-//   > /tmp/asicpp-store
+//   explicit dir > $ASICPP_STORE_DIR > $XDG_CACHE_HOME/asicpp-store
+//   > $HOME/.cache/asicpp-store > /tmp/asicpp-store
 //
 // `kStoreRevision` is the store's layout/keying revision. Producers fold
 // it into their keys (a revision bump invalidates old entries instead of

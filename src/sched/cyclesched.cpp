@@ -266,55 +266,22 @@ RunResult CycleScheduler::run(const RunOptions& opts) {
   prof_.clear();
   set_pass_options(opts.passes);
 
-  const std::uint64_t budget = opts.cycle_budget;
-  const double wall = opts.wall_clock_s;
-
-  RunResult r;
-  watchdog_tripped_ = false;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < opts.cycles; ++i) {
-    if (budget != 0 && clk_->cycle() >= budget) {
-      auto& d = diagnostics().fatal(
-          "WATCHDOG-001", "cycle scheduler",
-          "cycle budget (" + std::to_string(budget) + ") exhausted after " +
-              std::to_string(i) + " of " + std::to_string(opts.cycles) +
-              " requested cycles; stopping run");
-      d.cycle = clk_->cycle();
-      watchdog_tripped_ = true;
-      r.stop = StopReason::kCycleBudget;
-      break;
-    }
-    if (wall > 0.0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= wall) {
-        auto& d = diagnostics().fatal(
-            "WATCHDOG-002", "cycle scheduler",
-            "wall-clock limit (" + std::to_string(wall) + " s) exceeded after " +
-                std::to_string(i) + " of " + std::to_string(opts.cycles) +
-                " requested cycles; stopping run");
-        d.cycle = clk_->cycle();
-        watchdog_tripped_ = true;
-        r.stop = StopReason::kWallClock;
-        break;
-      }
-    }
-    const CycleStats st = cycle();
-    ++r.cycles;
-    r.firings += static_cast<std::uint64_t>(st.fired_components);
-    if (st.eval_iterations > 1)
-      r.retry_passes += static_cast<std::uint64_t>(st.eval_iterations - 1);
-    if (st.levelized) ++r.levelized_cycles;
-    if (opts.on_cycle_end) opts.on_cycle_end(clk_->cycle());
-    if (opts.checkpoint_every != 0 && opts.on_checkpoint &&
-        (i + 1) % opts.checkpoint_every == 0) {
-      opts.on_checkpoint(clk_->cycle());
-      ++r.checkpoints;
-    }
-  }
-  r.schedule = (r.levelized_cycles > 0 && r.levelized_cycles * 2 >= r.cycles)
-                   ? ScheduleMode::kLevelized
-                   : ScheduleMode::kIterative;
+  // The interpreted engine keeps no running totals; tally the per-cycle
+  // stats for the shared loop.
+  CycleTotals tally;
+  RunResult r = run_cycles(
+      opts, "cycle scheduler", diagnostics(), watchdog_tripped_,
+      [&] {
+        tally.cycles = clk_->cycle();
+        return tally;
+      },
+      [&] {
+        const CycleStats st = cycle();
+        tally.firings += static_cast<std::uint64_t>(st.fired_components);
+        if (st.eval_iterations > 1)
+          tally.retry_passes += static_cast<std::uint64_t>(st.eval_iterations - 1);
+        if (st.levelized) ++tally.levelized_cycles;
+      });
   if (opts.profile) {
     r.timing.reserve(comps_.size());
     for (auto* c : comps_) {

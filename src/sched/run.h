@@ -145,6 +145,30 @@ struct RunResult {
   }
 };
 
+/// Running totals of a cycle engine. run_cycles() reads them before and
+/// after a run and reports the difference.
+struct CycleTotals {
+  std::uint64_t cycles = 0;            ///< cycles simulated so far
+  std::uint64_t firings = 0;           ///< component firings so far
+  std::uint64_t retry_passes = 0;      ///< phase-2 sweeps beyond the first
+  std::uint64_t levelized_cycles = 0;  ///< cycles run by the level walk
+};
+
+/// The run loop of the cycle engines (CycleScheduler, CompiledSystem,
+/// JitSystem, BatchedSystem). Calls `step` to simulate one cycle, up to
+/// opts.cycles times. Stops early when the engine's total cycle count
+/// reaches opts.cycle_budget (WATCHDOG-001) or opts.wall_clock_s has
+/// elapsed (WATCHDOG-002). Both watchdogs report into `de`, name `engine`
+/// as the origin and set `watchdog_tripped`. After each cycle it calls
+/// opts.on_cycle_end, and every opts.checkpoint_every cycles
+/// opts.on_checkpoint, with the total cycle count. The result holds the
+/// change in `totals` and the schedule most cycles used. Scoped overrides
+/// and profiling stay with the engine.
+RunResult run_cycles(const RunOptions& opts, const char* engine,
+                     diag::DiagEngine& de, bool& watchdog_tripped,
+                     const std::function<CycleTotals()>& totals,
+                     const std::function<void()>& step);
+
 inline const char* schedule_mode_name(ScheduleMode m) {
   switch (m) {
     case ScheduleMode::kAuto: return "auto";

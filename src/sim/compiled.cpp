@@ -776,59 +776,13 @@ RunResult CompiledSystem::run(const RunOptions& opts) {
   profile_ = opts.profile;
   if (profile_) prof_.assign(comps_.size(), {0, 0.0});
 
-  const std::uint64_t budget = opts.cycle_budget;
-  const double wall = opts.wall_clock_s;
-
-  RunResult r;
-  const std::uint64_t retry0 = retry_passes_total_;
-  const std::uint64_t level0 = levelized_cycles_total_;
-  const std::uint64_t fired0 = fired_total_.get();
-  watchdog_tripped_ = false;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < opts.cycles; ++i) {
-    if (budget != 0 && cycles_ >= budget) {
-      auto& d = diagnostics().fatal(
-          "WATCHDOG-001", "compiled simulator",
-          "cycle budget (" + std::to_string(budget) + ") exhausted after " +
-              std::to_string(i) + " of " + std::to_string(opts.cycles) +
-              " requested cycles; stopping run");
-      d.cycle = cycles_;
-      watchdog_tripped_ = true;
-      r.stop = StopReason::kCycleBudget;
-      break;
-    }
-    // The wall clock is sampled every cycle; a compiled cycle is orders of
-    // magnitude heavier than one steady_clock read.
-    if (wall > 0.0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= wall) {
-        auto& d = diagnostics().fatal(
-            "WATCHDOG-002", "compiled simulator",
-            "wall-clock limit (" + std::to_string(wall) + " s) exceeded after " +
-                std::to_string(i) + " of " + std::to_string(opts.cycles) +
-                " requested cycles; stopping run");
-        d.cycle = cycles_;
-        watchdog_tripped_ = true;
-        r.stop = StopReason::kWallClock;
-        break;
-      }
-    }
-    cycle();
-    ++r.cycles;
-    if (opts.on_cycle_end) opts.on_cycle_end(cycles_);
-    if (opts.checkpoint_every != 0 && opts.on_checkpoint &&
-        (i + 1) % opts.checkpoint_every == 0) {
-      opts.on_checkpoint(cycles_);
-      ++r.checkpoints;
-    }
-  }
-  r.retry_passes = retry_passes_total_ - retry0;
-  r.levelized_cycles = levelized_cycles_total_ - level0;
-  r.firings = fired_total_.get() - fired0;
-  r.schedule = (r.levelized_cycles > 0 && r.levelized_cycles * 2 >= r.cycles)
-                   ? ScheduleMode::kLevelized
-                   : ScheduleMode::kIterative;
+  RunResult r = run_cycles(
+      opts, "compiled simulator", diagnostics(), watchdog_tripped_,
+      [&] {
+        return CycleTotals{cycles_, fired_total_.get(), retry_passes_total_,
+                           levelized_cycles_total_};
+      },
+      [&] { cycle(); });
   if (opts.profile) {
     r.timing.reserve(comps_.size());
     for (std::size_t i = 0; i < comps_.size(); ++i) {

@@ -28,7 +28,6 @@
 
 namespace asicpp::jit {
 class JitSystem;
-struct Emitter;
 }  // namespace asicpp::jit
 
 namespace asicpp::batch {
@@ -140,20 +139,27 @@ class CompiledSystem {
   /// Total tape instructions retired (throughput accounting).
   std::uint64_t ops_retired() const { return ops_.get(); }
 
-  /// Emit a standalone C++ translation unit that reproduces this system's
-  /// simulation (Fig 7's "C++ RT description"): the slot array, one
-  /// straight-line function per tape, and a main() running `run_cycles`
-  /// cycles, printing the value of each net in `watch_nets` per cycle.
-  /// External pin drives are frozen at their current values. Systems with
-  /// untimed components are rejected (native C++ closures have no image).
+  /// Emit the cycle kernel as a C++ translation unit over the JitState
+  /// block (sim/cppunit.h): one straight-line function per tape, one try
+  /// function per component, and the four-phase cycle as extern "C" entry
+  /// points. The JIT compiles exactly this text; emit_cpp() wraps it.
+  void emit_unit(std::ostream& os) const;
+
+  /// Emit a standalone C++ program that reproduces this system's
+  /// simulation (Fig 7's "C++ RT description"): emit_unit()'s text plus a
+  /// main() running `run_cycles` cycles from the current state, printing
+  /// the value of each net in `watch_nets` per cycle. External pin drives
+  /// are frozen at their current values. A deadlock exits 3 naming the
+  /// unfired components; an opcode with no table entry and no default
+  /// exits 4. Systems with untimed components are rejected (native C++
+  /// closures have no image).
   void emit_cpp(std::ostream& os, const std::vector<std::string>& watch_nets,
                 std::uint64_t run_cycles) const;
 
  private:
-  // The JIT engine (src/jit) emits this system's tapes as native C++ and
-  // drives the resulting shared object against the same slot arrays.
+  // The JIT engine (src/jit) compiles emit_unit()'s text and drives the
+  // resulting shared object against the same slot arrays.
   friend class asicpp::jit::JitSystem;
-  friend struct asicpp::jit::Emitter;
   // The batched evaluator (src/batch) replays this system's tapes over a
   // lanes-wide structure-of-arrays slot store, one instance per lane.
   friend class asicpp::batch::BatchedSystem;
@@ -231,6 +237,7 @@ class CompiledSystem {
   };
 
   class Builder;
+  struct UnitEmitter;
 
   void build_schedule();
   void compute_ir_hash();

@@ -1,11 +1,12 @@
 // C++ source regeneration from the compiled-tape form (Fig 7).
 //
-// The emitted translation unit is self-contained: no dependency on this
-// library, one function of straight-line assignments per tape, a small
-// driver replicating the three-phase cycle, and a main() printing watched
-// nets. An integration test compiles the output with the host compiler and
-// checks it reproduces the in-process simulation exactly.
-#include <cmath>
+// The standalone simulator is the compiled system's C++ unit (emit_unit,
+// the text the JIT loads) plus the main() driver written here: static
+// arrays seeded from the current image, a token clear with the frozen pin
+// drives each cycle, asicpp_jit_cycle, and one printed line per watched
+// net. The output depends on no library; an integration test compiles it
+// with the host compiler and checks it reproduces the in-process
+// simulation exactly.
 #include <ostream>
 #include <stdexcept>
 
@@ -13,41 +14,6 @@
 #include "sim/compiled.h"
 
 namespace asicpp::sim {
-
-namespace {
-
-void emit_quantize_helper(std::ostream& os) {
-  os << R"(static double q(double v, int frac, double hi, double lo, int rnd, int sat, double span) {
-  double scaled = std::ldexp(v, frac);
-  double mant = rnd ? std::round(scaled) : std::floor(scaled);
-  double mhi = std::ldexp(hi, frac), mlo = std::ldexp(lo, frac);
-  if (mant > mhi || mant < mlo) {
-    if (sat) {
-      mant = mant > mhi ? mhi : mlo;
-    } else {
-      mant = std::fmod(mant - mlo, span);
-      if (mant < 0) mant += span;
-      mant += mlo;
-    }
-  }
-  return std::ldexp(mant, -frac);
-}
-)";
-}
-
-void emit_instr(std::ostream& os, const Instr& i) {
-  const auto s = [](std::int32_t x) { return "S[" + std::to_string(x) + "]"; };
-  os << "  " << s(i.dst) << " = ";
-  if (i.op == sfg::Op::kCount) {
-    os << (i.quant ? opt::cpp_quantize_expr(s(i.a), i.fmt) : s(i.a));
-  } else {
-    os << opt::cpp_op_expr(i.op, s(i.a), i.b >= 0 ? s(i.b) : "0.0",
-                           i.c >= 0 ? s(i.c) : "0.0", i.fmt);
-  }
-  os << ";\n";
-}
-
-}  // namespace
 
 void CompiledSystem::emit_cpp(std::ostream& os,
                               const std::vector<std::string>& watch_nets,
@@ -58,271 +24,52 @@ void CompiledSystem::emit_cpp(std::ostream& os,
                                   "' cannot be regenerated");
   }
 
-  os << "// Generated by asicpp (compiled-code simulation, Fig 7 of DAC'98).\n";
-  os << std::hexfloat;  // every double literal must round-trip exactly
-  os << "#include <cmath>\n#include <cstdio>\n#include <cstdint>\n#include <cstdlib>\n\n";
-  os << "static double S[" << slots_.size() << "];\n";
-  os << "static unsigned char T[" << net_token_.size() << "];\n";
-  os << "static long long ll(double v) { return (long long)std::llround(v); }\n";
-  emit_quantize_helper(os);
+  emit_unit(os);
 
-  // Initial slot values (current register/const/input snapshot).
-  os << "static const double S_init[" << slots_.size() << "] = {";
-  for (std::size_t i = 0; i < slots_.size(); ++i)
-    os << (i ? ", " : "") << slots_[i];
-  os << "};\n\n";
-
-  // Tape functions.
-  const auto emit_push = [&](const SfgCode::Push& p) {
-    os << "  S[" << net_slots_[static_cast<std::size_t>(p.net)] << "] = S[" << p.src
-       << "]; T[" << p.net << "] = 1;\n";
+  const std::size_t n = comps_.size();
+  const auto list = [&](std::size_t count, const auto& item) {
+    os << " = {";
+    for (std::size_t i = 0; i < count; ++i) os << (i ? ", " : "") << item(i);
+    os << "};\n";
   };
-  for (std::size_t k = 0; k < sfgs_.size(); ++k) {
-    const SfgCode& s = sfgs_[k];
-    os << "static void sfg" << k << "_pre() {\n";
-    for (const auto& i : s.pre) emit_instr(os, i);
-    for (const auto& p : s.pre_pushes) emit_push(p);
-    os << "}\n";
-    os << "static int sfg" << k << "_ready() {\n  return 1";
-    for (const auto n : s.required_nets) os << " && T[" << n << "]";
-    os << ";\n}\n";
-    os << "static void sfg" << k << "_main() {\n";
-    for (const auto& i : s.load_inputs) emit_instr(os, i);
-    for (const auto& i : s.main) emit_instr(os, i);
-    for (const auto& p : s.main_pushes) emit_push(p);
-    os << "}\n";
-    os << "static void sfg" << k << "_commit() {\n";
-    for (const auto& c : s.commits) {
-      const std::string src = "S[" + std::to_string(c.src) + "]";
-      os << "  S[" << c.dst << "] = "
-         << (c.has_fmt ? opt::cpp_quantize_expr(src, c.fmt) : src) << ";\n";
-    }
-    os << "}\n\n";
-  }
+  os << "\n// Standalone driver (compiled-code simulation, Fig 7 of DAC'98).\n";
+  os << "#include <cstdio>\n\n";
+  os << "static double S[" << slots_.size() << "]";
+  list(slots_.size(), [&](std::size_t i) { return opt::cpp_double_lit(slots_[i]); });
+  os << "static unsigned char T[" << net_token_.size() << "];\n";
+  os << "static int state[" << n << "]";
+  list(n, [&](std::size_t i) {
+    return comps_[i].kind == Kind::kFsm ? comps_[i].state : 0;
+  });
+  os << "static int fired[" << n << "], sel[" << n << "], pending[" << n << "];\n";
+  os << "static const char* const names[" << n << "]";
+  list(n, [&](std::size_t i) { return '"' + comps_[i].name + '"'; });
 
-  // Component driver data.
-  os << "static int comp_state[" << comps_.size() << "] = {";
-  for (std::size_t i = 0; i < comps_.size(); ++i)
-    os << (i ? ", " : "") << (comps_[i].kind == Kind::kFsm ? comps_[i].state : 0);
-  os << "};\n";
-  os << "static int comp_fired[" << comps_.size() << "];\n";
-  os << "static int comp_sel[" << comps_.size() << "];\n";
-  os << "static int pending[" << comps_.size() << "];\n";
-  os << "static const char* comp_names[" << comps_.size() << "] = {";
-  for (std::size_t i = 0; i < comps_.size(); ++i)
-    os << (i ? ", " : "") << '"' << comps_[i].name << '"';
-  os << "};\n";
-  os << "static unsigned long long g_cycle = 0;\n\n";
-
-  // Per-component select / pre / fire / commit functions.
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    const Comp& c = comps_[ci];
-    switch (c.kind) {
-      case Kind::kFsm: {
-        // Guard tapes inline; selection returns transition index encoded as
-        // (state-local order), -1 when none.
-        os << "static int comp" << ci << "_select() {\n  switch (comp_state[" << ci
-           << "]) {\n";
-        for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-          os << "  case " << st << ":\n";
-          int ti = 0;
-          for (const auto& gt : c.by_state[st]) {
-            if (gt.always) {
-              os << "    return " << ti << ";\n";
-              break;
-            }
-            os << "    {\n";
-            for (const auto& i : gt.guard) {
-              os << "  ";
-              emit_instr(os, i);
-            }
-            os << "      if (S[" << gt.guard_slot << "] != 0.0) return " << ti << ";\n    }\n";
-            ++ti;
-          }
-          os << "    return -1;\n";
-        }
-        os << "  }\n  return -1;\n}\n";
-        break;
-      }
-      case Kind::kDispatch: {
-        os << "static int comp" << ci << "_decode() {\n";
-        os << "  long long op = ll(S[" << net_slots_[static_cast<std::size_t>(c.instr_net)]
-           << "]);\n  switch (op) {\n";
-        for (const auto& [op, sid] : c.table)
-          os << "  case " << op << ": return " << sid << ";\n";
-        os << "  default: return " << c.default_sfg << ";\n  }\n}\n";
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // The cycle driver. The deadlock path mirrors the in-process post-mortem:
-  // name every component still obliged to fire instead of a bare DEADLOCK.
-  os << "\nstatic void fatal_deadlock() {\n";
-  os << "  std::printf(\"DEADLOCK at cycle %llu: unfired components:\", g_cycle);\n";
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    os << "  if (!comp_fired[" << ci << "]";
-    if (comps_[ci].kind == Kind::kFsm) os << " && pending[" << ci << "] >= 0";
-    os << ") std::printf(\" %s\", comp_names[" << ci << "]);\n";
-  }
-  os << "  std::printf(\"\\n\");\n  std::exit(3);\n}\n";
-
-  // Per-component firing functions, shared by the hard-coded level walk
-  // and the sweep loop so the phase-2 code exists exactly once in the
-  // binary (duplicating the switch bodies measurably hurts icache).
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    const Comp& c = comps_[ci];
-    std::vector<std::int32_t> sids;
-    if (c.kind == Kind::kDispatch) {
-      for (const auto& [_, sid] : c.table) sids.push_back(sid);
-      if (c.default_sfg >= 0) sids.push_back(c.default_sfg);
-    }
-    switch (c.kind) {
-      case Kind::kFsm:
-        os << "static int comp" << ci << "_try(void) {\n";
-        os << "  if (comp_fired[" << ci << "] || pending[" << ci << "] < 0) return 0;\n";
-        os << "  switch (comp_state[" << ci << "] * 64 + pending[" << ci << "]) {\n";
-        for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-          for (std::size_t ti = 0; ti < c.by_state[st].size(); ++ti) {
-            os << "  case " << st * 64 + ti << ": if (1";
-            for (const auto sid : c.by_state[st][ti].sfgs) os << " && sfg" << sid << "_ready()";
-            os << ") {";
-            for (const auto sid : c.by_state[st][ti].sfgs) os << " sfg" << sid << "_main();";
-            os << " comp_fired[" << ci << "] = 1; return 1; } break;\n";
-          }
-        }
-        os << "  default: break;\n  }\n  return 0;\n}\n";
-        break;
-      case Kind::kSfg:
-        os << "static int comp" << ci << "_try(void) {\n";
-        os << "  if (comp_fired[" << ci << "] || !sfg" << c.solo_sfg << "_ready()) return 0;\n";
-        os << "  sfg" << c.solo_sfg << "_main(); comp_fired[" << ci << "] = 1; return 1;\n}\n";
-        break;
-      case Kind::kDispatch:
-        os << "static int comp" << ci << "_decode_try(void) {\n";
-        os << "  if (comp_sel[" << ci << "] >= 0 || !T[" << c.instr_net << "]) return 0;\n";
-        os << "  comp_sel[" << ci << "] = comp" << ci << "_decode();\n";
-        os << "  if (comp_sel[" << ci << "] < 0) fatal_deadlock();\n";
-        os << "  switch (comp_sel[" << ci << "]) {\n";
-        for (const auto sid : sids)
-          os << "  case " << sid << ": sfg" << sid << "_pre(); break;\n";
-        os << "  default: break;\n  }\n  return 1;\n}\n";
-        os << "static int comp" << ci << "_try(void) {\n";
-        os << "  if (comp_fired[" << ci << "] || comp_sel[" << ci << "] < 0) return 0;\n";
-        os << "  switch (comp_sel[" << ci << "]) {\n";
-        for (const auto sid : sids)
-          os << "  case " << sid << ": if (sfg" << sid << "_ready()) { sfg" << sid
-             << "_main(); comp_fired[" << ci << "] = 1; return 1; } break;\n";
-        os << "  default: break;\n  }\n  return 0;\n}\n";
-        break;
-      case Kind::kUntimed:
-        break;  // rejected above
-    }
-  }
-
-  os << "static void cycle() {\n";
-  os << "  for (unsigned i = 0; i < sizeof(T); ++i) T[i] = 0;\n";
-  // Frozen external drives.
-  for (std::size_t i = 0; i < ext_nets_.size(); ++i) {
-    const auto* n = ext_nets_[i];
-    if (n->driven()) {
-      os << "  S[" << ext_net_slots_[i] << "] = " << n->drive_value().value()
-         << "; T[" << i << "] = 1;\n";
-    }
-  }
-  // Phase 0 + phase 1 + sweep loop, specialized per component kind.
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    const Comp& c = comps_[ci];
-    os << "  comp_fired[" << ci << "] = 0; comp_sel[" << ci << "] = -1;\n";
-    if (c.kind == Kind::kFsm)
-      os << "  pending[" << ci << "] = comp" << ci << "_select();\n";
-  }
-  // Phase 1.
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    const Comp& c = comps_[ci];
-    if (c.kind == Kind::kFsm) {
-      os << "  if (pending[" << ci << "] >= 0) switch (comp_state[" << ci
-         << "] * 64 + pending[" << ci << "]) {\n";
-      for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-        for (std::size_t ti = 0; ti < c.by_state[st].size(); ++ti) {
-          os << "  case " << st * 64 + ti << ":";
-          for (const auto sid : c.by_state[st][ti].sfgs) os << " sfg" << sid << "_pre();";
-          os << " break;\n";
-        }
-      }
-      os << "  default: break;\n  }\n";
-    } else if (c.kind == Kind::kSfg) {
-      os << "  sfg" << c.solo_sfg << "_pre();\n";
-    }
-  }
-  // Phase 2a: hard-coded level walk. When the system levelizes, the static
-  // order calls every component's try function in producer-before-consumer
-  // order, so one pass fires everything; the sweep loop below then sees
-  // all_done on its first iteration and serves only as the fallback /
-  // deadlock detector (e.g. when a frozen external drive changes the
-  // reachable instruction mix). Pinning the mode to kIterative before
-  // emit_cpp() suppresses the walk — the emitted simulator then relies on
-  // the sweep loop alone (the pre-levelization baseline, kept reachable
-  // for A/B benchmarking).
-  if (mode_ != ScheduleMode::kIterative && levelizable_) {
-    os << "  // levelized static schedule: " << sched_levels_ << " level(s)\n";
-    for (const auto& slot : level_order_) {
-      os << "  comp" << slot.comp << (slot.decode ? "_decode_try" : "_try") << "();\n";
-    }
-  }
-  // Phase 2b: sweep loop (iterative fallback + deadlock detection).
-  os << "  for (int iter = 0; iter < " << max_iters_ << "; ++iter) {\n";
-  os << "    int progress = 0, all_done = 1;\n";
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    const Comp& c = comps_[ci];
-    os << "    if (!comp_fired[" << ci << "]";
-    if (c.kind == Kind::kFsm) os << " && pending[" << ci << "] >= 0";
-    os << ") {\n";
-    if (c.kind == Kind::kDispatch)
-      os << "      progress |= comp" << ci << "_decode_try();\n";
-    os << "      progress |= comp" << ci << "_try();\n";
-    os << "      if (!comp_fired[" << ci << "]) all_done = 0;\n    }\n";
-  }
-  os << "    if (all_done) break;\n";
-  os << "    if (!progress) fatal_deadlock();\n";
-  os << "  }\n";
-  // Phase 3.
-  for (std::size_t ci = 0; ci < comps_.size(); ++ci) {
-    const Comp& c = comps_[ci];
-    os << "  if (comp_fired[" << ci << "]) {\n";
-    if (c.kind == Kind::kFsm) {
-      os << "    switch (comp_state[" << ci << "] * 64 + pending[" << ci << "]) {\n";
-      for (std::size_t st = 0; st < c.by_state.size(); ++st) {
-        for (std::size_t ti = 0; ti < c.by_state[st].size(); ++ti) {
-          os << "    case " << st * 64 + ti << ":";
-          for (const auto sid : c.by_state[st][ti].sfgs) os << " sfg" << sid << "_commit();";
-          os << " comp_state[" << ci << "] = " << c.by_state[st][ti].to << "; break;\n";
-        }
-      }
-      os << "    default: break;\n    }\n";
-    } else if (c.kind == Kind::kSfg) {
-      os << "    sfg" << c.solo_sfg << "_commit();\n";
-    } else if (c.kind == Kind::kDispatch) {
-      os << "    switch (comp_sel[" << ci << "]) {\n";
-      std::vector<std::int32_t> sids;
-      for (const auto& [_, sid] : c.table) sids.push_back(sid);
-      if (c.default_sfg >= 0) sids.push_back(c.default_sfg);
-      for (const auto sid : sids)
-        os << "    case " << sid << ": sfg" << sid << "_commit(); break;\n";
-      os << "    default: break;\n    }\n";
-    }
-    os << "  }\n";
-  }
-  os << "  ++g_cycle;\n";
-  os << "}\n\n";
-
-  // main(): run and print watched nets.
-  os << "int main() {\n";
-  os << "  for (unsigned i = 0; i < sizeof(S) / sizeof(S[0]); ++i) S[i] = S_init[i];\n";
+  os << "\nint main() {\n";
+  os << "  St st = {S, T, state, fired, sel, pending};\n";
   os << "  for (unsigned long long c = 0; c < " << run_cycles << "ULL; ++c) {\n";
-  os << "    cycle();\n";
+  os << "    for (unsigned i = 0; i < sizeof(T); ++i) T[i] = 0;\n";
+  for (std::size_t i = 0; i < ext_nets_.size(); ++i) {
+    if (ext_nets_[i]->driven())
+      os << "    S[" << ext_net_slots_[i]
+         << "] = " << opt::cpp_double_lit(ext_nets_[i]->drive_value().value())
+         << "; T[" << i << "] = 1;\n";
+  }
+  // Pinning the mode to kIterative before emit_cpp() drops the level walk:
+  // the sweep loop alone then drives phase 2.
+  os << "    if (asicpp_jit_cycle(&st, " << (mode_ != ScheduleMode::kIterative)
+     << ") < 0) {\n";
+  os << "      if (st.deadlock == 2) {\n"
+     << "        std::printf(\"ERROR at cycle %llu: component %s: unknown opcode "
+        "%lld and no default\\n\", c, names[st.dl_comp], st.dl_op);\n"
+     << "        return 4;\n      }\n";
+  // Every unfired component is named except an FSM with no enabled
+  // transition (pending < 0); pending[] is written for FSMs only, so it
+  // stays 0 for the other kinds.
+  os << "      std::printf(\"DEADLOCK at cycle %llu: unfired components:\", c);\n"
+     << "      for (int i = 0; i < " << n << "; ++i)\n"
+     << "        if (!fired[i] && pending[i] >= 0) std::printf(\" %s\", names[i]);\n"
+     << "      std::printf(\"\\n\");\n      return 3;\n    }\n";
   for (const auto& w : watch_nets) {
     const auto it = net_ids_.find(w);
     if (it == net_ids_.end())

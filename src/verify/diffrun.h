@@ -95,7 +95,7 @@ struct DiffOptions {
   /// Host compiler for the generated simulator and the jit engine.
   std::string cxx = "c++";
   /// Artifact-store directory override for engines with cacheable compile
-  /// products (jit). Empty = the $ASICPP_STORE_DIR / $ASICPP_JIT_CACHE
+  /// products (jit). Empty = the $ASICPP_STORE_DIR / $XDG_CACHE_HOME
   /// resolution chain (see pipeline/artifact.h).
   std::string store_dir;
   /// Route VERIFY diagnostics into this engine (optional; the DiffResult

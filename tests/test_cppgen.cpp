@@ -1,6 +1,8 @@
 // End-to-end test of the C++ code generation path (Fig 7): emit a
 // standalone compiled simulator, build it with the host compiler, run it,
 // and check the printed trace matches the in-process simulation exactly.
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -58,6 +60,36 @@ std::vector<double> run_generated(const CompiledSystem& cs,
   while (fgets(buf, sizeof buf, rp) != nullptr) values.push_back(std::atof(buf));
   EXPECT_EQ(pclose(rp), 0);
   return values;
+}
+
+/// Exit status and combined stdout+stderr of a generated simulator that is
+/// expected to stop with an error.
+struct GeneratedRun {
+  int status = -1;
+  std::string output;
+};
+
+GeneratedRun run_generated_failing(const CompiledSystem& cs,
+                                   const std::string& tag) {
+  const std::string src = ::testing::TempDir() + "/gen_" + tag + ".cpp";
+  const std::string bin = ::testing::TempDir() + "/gen_" + tag;
+  {
+    std::ofstream os(src);
+    cs.emit_cpp(os, {}, 1);
+  }
+  GeneratedRun run;
+  char buf[256];
+  for (const std::string& cmd :
+       {"c++ -O2 -std=c++17 -o " + bin + " " + src + " 2>&1", bin + " 2>&1"}) {
+    FILE* p = popen(cmd.c_str(), "r");
+    EXPECT_NE(p, nullptr);
+    run.output.clear();
+    while (fgets(buf, sizeof buf, p) != nullptr) run.output += buf;
+    const int rc = pclose(p);
+    run.status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    if (run.status != 0) break;  // a compile failure is reported as is
+  }
+  return run;
 }
 
 TEST(CppGen, GeneratedSimulatorMatchesInProcess) {
@@ -155,6 +187,89 @@ TEST(CppGen, UnknownWatchNetRejected) {
   CompiledSystem cs = CompiledSystem::compile(sched);
   std::ostringstream os;
   EXPECT_THROW(cs.emit_cpp(os, {"nope"}, 1), std::out_of_range);
+}
+
+// The generated simulator honours the iteration cap exactly like the tape:
+// a chain registered in reverse needs two sweeps, so with the cap at one
+// and the level walk off the compiled tape declares SCHED-001 on `cb`, and
+// the standalone binary must stop with the same deadlock instead of
+// committing a cycle whose tail never fired.
+TEST(CppGen, IterationCapDeclaresDeadlock) {
+  Clk clk;
+  CycleScheduler sched(clk);
+  sched.set_max_iterations(1);
+  Reg counter("counter", clk, kFmt, 0.0);
+  Sfg src("src");
+  src.out("o", counter.sig()).assign(counter, counter + 1.0);
+  SfgComponent csrc("src", src);
+  Sig xa = Sig::input("xa", kFmt);
+  Sfg a("a");
+  a.in(xa).out("o", xa + 1.0);
+  SfgComponent ca("ca", a);
+  Sig xb = Sig::input("xb", kFmt);
+  Sfg b("b");
+  b.in(xb).out("o", xb + 1.0);
+  SfgComponent cb("cb", b);
+  csrc.bind_output("o", sched.net("n0"));
+  ca.bind_input(xa, sched.net("n0"));
+  ca.bind_output("o", sched.net("n1"));
+  cb.bind_input(xb, sched.net("n1"));
+  cb.bind_output("o", sched.net("n2"));
+  sched.add(cb);
+  sched.add(ca);
+  sched.add(csrc);
+
+  CompiledSystem cs = CompiledSystem::compile(sched);
+  cs.set_schedule_mode(ScheduleMode::kIterative);
+  CompiledSystem ref = CompiledSystem::compile(sched);
+  ref.set_schedule_mode(ScheduleMode::kIterative);
+  try {
+    ref.cycle();
+    ADD_FAILURE() << "compiled tape did not deadlock";
+  } catch (const sched::DeadlockError& e) {
+    EXPECT_EQ(e.diagnostic().code, "SCHED-001");
+    EXPECT_NE(e.diagnostic().message.find("cb"), std::string::npos);
+  }
+
+  const GeneratedRun run = run_generated_failing(cs, "itercap");
+  EXPECT_EQ(run.status, 3) << run.output;
+  EXPECT_NE(run.output.find("DEADLOCK at cycle 0"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("cb"), std::string::npos) << run.output;
+}
+
+// An opcode with no table entry and no default is an error in every
+// engine, not a deadlock: the tape throws "unknown opcode 3 and no
+// default", and the generated simulator must fail with the same words.
+TEST(CppGen, UnknownOpcodeWithoutDefaultFails) {
+  Clk clk;
+  CycleScheduler sched(clk);
+  Reg three("three", clk, kFmt, 3.0);
+  Sfg emit("emit");
+  emit.out("instr", three.sig());
+  SfgComponent src("src", emit);
+  src.bind_output("instr", sched.net("instr"));
+  Sfg act("act");
+  Reg mark("mark", clk, kFmt, 0.0);
+  act.assign(mark, mark + 1.0);
+  sched::DispatchComponent dp("dp", sched.net("instr"));
+  dp.add_instruction(1, act);
+  sched.add(src);
+  sched.add(dp);
+
+  CompiledSystem cs = CompiledSystem::compile(sched);
+  CompiledSystem ref = CompiledSystem::compile(sched);
+  try {
+    ref.cycle();
+    ADD_FAILURE() << "compiled tape accepted an unknown opcode";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown opcode 3 and no default"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const GeneratedRun run = run_generated_failing(cs, "badop");
+  EXPECT_NE(run.status, 0) << run.output;
+  EXPECT_NE(run.output.find("unknown opcode 3"), std::string::npos) << run.output;
 }
 
 }  // namespace

@@ -462,7 +462,7 @@ TEST(Registry, DiffRunRejectsUnknownEngineName) {
 
 TEST(Registry, BindDrivesInProcessEnginesOverOneScheduler) {
   const std::string cache = fresh_cache("asicpp_jit_bind");
-  setenv("ASICPP_JIT_CACHE", cache.c_str(), 1);
+  setenv("ASICPP_STORE_DIR", cache.c_str(), 1);
   const Spec spec = jit_spec(15);
   const auto probes = spec.probes();
   std::vector<std::vector<double>> ref;
@@ -484,7 +484,7 @@ TEST(Registry, BindDrivesInProcessEnginesOverOneScheduler) {
     else
       EXPECT_EQ(ref, values) << name;
   }
-  unsetenv("ASICPP_JIT_CACHE");
+  unsetenv("ASICPP_STORE_DIR");
   run_cmd("rm -rf " + cache);
 }
 
@@ -494,7 +494,7 @@ TEST(JitCli, FuzzAcceptsJitEngine) {
   const std::string cache = fresh_cache("asicpp_jit_cli");
   std::string out;
   const int rc =
-      run_cmd("ASICPP_JIT_CACHE=" + cache + " " + ASICPP_FUZZ_BIN +
+      run_cmd("ASICPP_STORE_DIR=" + cache + " " + ASICPP_FUZZ_BIN +
                   " --seeds 3 --engines compiled,jit --no-ckpt",
               &out);
   EXPECT_EQ(rc, 0) << out;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "diag/diag.h"
+#include "jit/jit.h"
 #include "par/pool.h"
 #include "sim/compiled.h"
 #include "sim/recorder.h"
@@ -255,6 +256,30 @@ std::vector<std::vector<double>> compiled_trace(const Spec& spec,
   return tr;
 }
 
+// The JIT's level-parallel walk, driven through run(): the threads option
+// is scoped to the run and the trace matches the serial compiled tape.
+std::vector<std::vector<double>> jit_trace(const Spec& spec, unsigned threads) {
+  System sys(spec);
+  jit::JitOptions jo;
+  jo.cache_dir = ::testing::TempDir() + "/asicpp_par_jit_store";
+  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  EXPECT_TRUE(js.native());
+  const auto probes = spec.probes();
+  std::vector<std::vector<double>> tr;
+  js.run(RunOptions{}
+             .for_cycles(spec.cycles)
+             .mode(ScheduleMode::kLevelized)
+             .threads(threads)
+             .on_cycle([&](std::uint64_t) {
+               std::vector<double> row;
+               for (const std::string& n : probes) row.push_back(js.net_value(n));
+               tr.push_back(std::move(row));
+             }));
+  EXPECT_EQ(js.threads(), 1u);
+  EXPECT_EQ(js.schedule_mode(), ScheduleMode::kAuto);
+  return tr;
+}
+
 TEST(ParDeterminism, InterpretedLevelParallelMatchesSerial) {
   const GenConfig cfg = wide_config();
   for (unsigned seed = 0; seed < 20; ++seed) {
@@ -273,6 +298,17 @@ TEST(ParDeterminism, CompiledLevelParallelMatchesSerial) {
     const auto serial = compiled_trace(spec, 1);
     for (const unsigned threads : {2u, 4u, 8u})
       ASSERT_EQ(compiled_trace(spec, threads), serial)
+          << "seed " << seed << " threads " << threads;
+  }
+}
+
+TEST(ParDeterminism, JitLevelParallelMatchesSerial) {
+  const GenConfig cfg = wide_config();
+  for (unsigned seed = 0; seed < 5; ++seed) {
+    const Spec spec = generate(cfg, seed);
+    const auto serial = compiled_trace(spec, 1);
+    for (const unsigned threads : {1u, 4u})
+      ASSERT_EQ(jit_trace(spec, threads), serial)
           << "seed " << seed << " threads " << threads;
   }
 }

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--strict") == 0) strict = true;
 
-  jit::JitOptions jo;  // cache dir via $ASICPP_JIT_CACHE (CI sets it)
+  jit::JitOptions jo;  // store dir via $ASICPP_STORE_DIR (CI sets it)
   std::printf("jit artifact cache: %s\n\n", jit::cache_dir(jo).c_str());
 
   smoke_fig6(jo, /*warm=*/false);

@@ -393,10 +393,14 @@ void System::build_comp(const CompSpec& c) {
   const auto declare_ins = [&](Sfg& s) {
     for (const Sig* in : myins) s.in(*in);
   };
+  // A next-value that is itself a register is assigned bare: every register
+  // shares `fmt` and the commit quantizes anyway, and the bare leaf is the
+  // register-to-register commit shape (a shift chain) engines must handle.
   const auto assign_regs = [&](Sfg& s) {
-    for (std::size_t k = 0; k < myregs.size(); ++k)
-      s.assign(*myregs[k],
-               pool[static_cast<std::size_t>(c.regs[k].next)].cast(fmt));
+    for (std::size_t k = 0; k < myregs.size(); ++k) {
+      const auto next = static_cast<std::size_t>(c.regs[k].next);
+      s.assign(*myregs[k], next < myregs.size() ? pool[next] : pool[next].cast(fmt));
+    }
   };
   // The alternate behaviour (FSM state B / dispatch opcode 2): negate the
   // first register, emit the alternate output.

@@ -1,10 +1,16 @@
+#include <fstream>
+#include <map>
 #include <random>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "batch/batch.h"
 #include "dect/hcor.h"
 #include "dect/link.h"
 #include "dect/vliw.h"
+#include "jit/jit.h"
 #include "sim/compiled.h"
 
 namespace asicpp::dect {
@@ -87,6 +93,79 @@ TEST(Hcor, TracksBurstAndRearms) {
   }
   EXPECT_GE(detections, 2);  // locked twice (random bits may add more)
   (void)rng;
+}
+
+// HCOR driven through its rx pin on every compiled-image engine. The
+// 16-tap window shifts register to register (b1 <- b0), so an engine that
+// reads a commit source after another commit overwrote it collapses the
+// window and the correlation stops matching the golden model.
+TEST(Hcor, CompiledEnginesMatchGoldenThroughRx) {
+  Hcor interp, hc, hj, hb1, hb4;
+  sim::CompiledSystem cs = sim::CompiledSystem::compile(hc.scheduler());
+  jit::JitOptions jo;
+  jo.cache_dir = ::testing::TempDir() + "/hcor_jit_store";
+  jit::JitSystem js = jit::JitSystem::compile(hj.scheduler(), {}, jo);
+  batch::BatchedSystem b1 = batch::BatchedSystem::compile(hb1.scheduler(), 1);
+  batch::BatchedSystem b4 = batch::BatchedSystem::compile(hb4.scheduler(), 4);
+
+  Hcor::Golden g;
+  std::vector<int> bits = stream_with_sync(40, kBurstPayload, 11);
+  const auto more = stream_with_sync(20, 1500, 13);
+  bits.insert(bits.end(), more.begin(), more.end());
+  std::map<std::string, int> wrong;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const bool gd = g.step(bits[i]);
+    interp.step(bits[i]);
+    const fixpt::Fixed rx(bits[i] != 0 ? 1.0 : 0.0);
+    for (Hcor* h : {&hc, &hj, &hb1, &hb4}) h->scheduler().net("rx").drive(rx);
+    cs.cycle();
+    js.cycle();
+    b1.cycle();
+    b4.cycle();
+    const auto check = [&](const std::string& engine, double detect, double corr) {
+      if ((detect != 0.0) != gd || static_cast<int>(corr) != g.corr_reg) ++wrong[engine];
+    };
+    check("interpreted", interp.detected() ? 1.0 : 0.0, interp.correlation());
+    check("compiled", cs.net_value("detect"), cs.reg_value("corr"));
+    check("jit", js.net_value("detect"), js.reg_value("corr"));
+    check("batched/1", b1.net_value(0, "detect"), b1.reg_value(0, "corr"));
+    for (unsigned l = 0; l < 4; ++l)
+      check("batched/4 lane " + std::to_string(l), b4.net_value(l, "detect"),
+            b4.reg_value(l, "corr"));
+  }
+  EXPECT_TRUE(wrong.empty()) << "cycles off the golden model: "
+                             << ::testing::PrintToString(wrong);
+}
+
+// The generated standalone simulator freezes pin drives, so it runs with
+// rx held high: the window fills with ones over 16 cycles instead of one.
+TEST(Hcor, GeneratedSimulatorMatchesGoldenWithRxHeld) {
+  Hcor h;
+  h.scheduler().net("rx").drive(fixpt::Fixed(1.0));
+  const sim::CompiledSystem cs = sim::CompiledSystem::compile(h.scheduler());
+  constexpr std::uint64_t kCycles = 40;
+  const std::string src = ::testing::TempDir() + "/hcor_rx_held.cpp";
+  const std::string bin = ::testing::TempDir() + "/hcor_rx_held";
+  {
+    std::ofstream os(src);
+    cs.emit_cpp(os, {"detect", "corr_out"}, kCycles);
+  }
+  std::string out;
+  ASSERT_EQ(jit::run_command("c++ -O2 -std=c++17 -o " + bin + " " + src, &out), 0)
+      << out;
+  out.clear();
+  ASSERT_EQ(jit::run_command(bin, &out), 0) << out;
+
+  std::istringstream is(out);
+  Hcor::Golden g;
+  for (std::uint64_t c = 0; c < kCycles; ++c) {
+    double detect = -1.0, corr = -1.0;
+    is >> detect >> corr;
+    const int corr_before = g.corr_reg;  // corr_out shows the register pre-commit
+    const bool gd = g.step(1);
+    ASSERT_EQ(detect != 0.0, gd) << "cycle " << c;
+    ASSERT_EQ(static_cast<int>(corr), corr_before) << "cycle " << c;
+  }
 }
 
 // Property: threshold sweep — lower thresholds can only detect more.

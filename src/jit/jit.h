@@ -6,10 +6,10 @@
 // compiled system's C++ translation unit (sim/cppunit.h — the same unit the
 // standalone simulator wraps in a main()), compiles it to a shared object
 // with the host toolchain, `dlopen`s it, and drives it in-process over the
-// *live* CompiledSystem slot arrays. External pin drives, pokes, probes,
-// snapshots and the deadlock post-mortem all keep working because the
-// native code shares the tape engine's state — only the per-cycle
-// evaluation is swapped for compiled code.
+// *live* arrays of a width-1 sim::LaneDriver (the CompiledSystem it was
+// compiled from). External pin drives, pokes, probes, snapshots and the
+// deadlock post-mortem all keep working because the native code shares the
+// tape engine's state — only phases 0-3 are swapped for compiled code.
 //
 // Compiled artifacts live in the shared content-addressed artifact store
 // (pipeline/artifact.h) under stage "jit", keyed by an FNV-1a content hash
@@ -73,7 +73,7 @@ class JitSystem {
                            const JitOptions& jopts = {});
 
   /// Simulate one clock cycle (native kernel, or the tape fallback).
-  /// Semantics identical to CompiledSystem::cycle(), including
+  /// Semantics identical to CompiledSystem's cycle(), including
   /// sched::DeadlockError with the SCHED-001 post-mortem.
   void cycle();
 
@@ -109,34 +109,28 @@ class JitSystem {
   double reg_value(const std::string& name) const { return cs_.reg_value(name); }
   void poke(const std::string& input_name, double v) { cs_.poke(input_name, v); }
   std::size_t footprint_bytes() const { return cs_.footprint_bytes(); }
-  void reset();
+  void reset() { cs_.reset(); }
 
   /// Snapshots share the compiled tape's format, engine kind and IR
   /// content hash: a JIT snapshot restores into a CompiledSystem of the
   /// same design (and vice versa), and a snapshot of a different design or
   /// pass pipeline is rejected with CKPT-003.
   std::uint64_t state_hash() const { return cs_.state_hash(); }
-  void save_state(std::ostream& os);
-  void restore_state(std::istream& is);
+  void save_state(std::ostream& os) const { cs_.save_state(os); }
+  void restore_state(std::istream& is) { cs_.restore_state(is); }
 
  private:
-  JitSystem() = default;
+  explicit JitSystem(sim::CompiledSystem cs) : cs_(std::move(cs)) {}
 
   sim::JitState make_state();
-  void sync_states_to_cs();
-  void sync_states_from_cs();
-  void sync_runtime_to_cs();
   void native_cycle();
   bool load(const std::string& path, std::string* why);
   static int fire_untimed_cb(void* host, int comp);
 
+  // The tape engine this kernel replaces cycle by cycle: the native code
+  // runs over its slot, token and per-component arrays, so the fallback,
+  // snapshots, probes and the deadlock post-mortem need no copies.
   sim::CompiledSystem cs_;
-  // Per-component driver arrays handed to the generated code (mirrors of
-  // Comp::state/fired/selected/pending, int-typed for a stable ABI).
-  std::vector<int> states_;
-  std::vector<int> fired_;
-  std::vector<int> sel_;
-  std::vector<int> pending_;
 
   bool native_ = false;
   bool from_cache_ = false;

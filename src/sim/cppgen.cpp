@@ -18,15 +18,16 @@ namespace asicpp::sim {
 void CompiledSystem::emit_cpp(std::ostream& os,
                               const std::vector<std::string>& watch_nets,
                               std::uint64_t run_cycles) const {
-  for (const auto& c : comps_) {
-    if (c.kind == Kind::kUntimed)
+  const Image& m = *img_;
+  for (const auto& c : m.comps) {
+    if (c.kind == Image::Kind::kUntimed)
       throw std::invalid_argument("emit_cpp: untimed component '" + c.name +
                                   "' cannot be regenerated");
   }
 
   emit_unit(os);
 
-  const std::size_t n = comps_.size();
+  const std::size_t n = m.comps.size();
   const auto list = [&](std::size_t count, const auto& item) {
     os << " = {";
     for (std::size_t i = 0; i < count; ++i) os << (i ? ", " : "") << item(i);
@@ -36,23 +37,21 @@ void CompiledSystem::emit_cpp(std::ostream& os,
   os << "#include <cstdio>\n\n";
   os << "static double S[" << slots_.size() << "]";
   list(slots_.size(), [&](std::size_t i) { return opt::cpp_double_lit(slots_[i]); });
-  os << "static unsigned char T[" << net_token_.size() << "];\n";
+  os << "static unsigned char T[" << tok_.size() << "];\n";
   os << "static int state[" << n << "]";
-  list(n, [&](std::size_t i) {
-    return comps_[i].kind == Kind::kFsm ? comps_[i].state : 0;
-  });
+  list(n, [&](std::size_t i) { return state_[i]; });
   os << "static int fired[" << n << "], sel[" << n << "], pending[" << n << "];\n";
   os << "static const char* const names[" << n << "]";
-  list(n, [&](std::size_t i) { return '"' + comps_[i].name + '"'; });
+  list(n, [&](std::size_t i) { return '"' + m.comps[i].name + '"'; });
 
   os << "\nint main() {\n";
   os << "  St st = {S, T, state, fired, sel, pending};\n";
   os << "  for (unsigned long long c = 0; c < " << run_cycles << "ULL; ++c) {\n";
   os << "    for (unsigned i = 0; i < sizeof(T); ++i) T[i] = 0;\n";
-  for (std::size_t i = 0; i < ext_nets_.size(); ++i) {
-    if (ext_nets_[i]->driven())
-      os << "    S[" << ext_net_slots_[i]
-         << "] = " << opt::cpp_double_lit(ext_nets_[i]->drive_value().value())
+  for (std::size_t i = 0; i < m.nets.size(); ++i) {
+    if (m.nets[i]->driven())
+      os << "    S[" << m.net_slots[i]
+         << "] = " << opt::cpp_double_lit(m.nets[i]->drive_value().value())
          << "; T[" << i << "] = 1;\n";
   }
   // Pinning the mode to kIterative before emit_cpp() drops the level walk:
@@ -71,11 +70,11 @@ void CompiledSystem::emit_cpp(std::ostream& os,
      << "        if (!fired[i] && pending[i] >= 0) std::printf(\" %s\", names[i]);\n"
      << "      std::printf(\"\\n\");\n      return 3;\n    }\n";
   for (const auto& w : watch_nets) {
-    const auto it = net_ids_.find(w);
-    if (it == net_ids_.end())
+    const auto it = m.net_ids.find(w);
+    if (it == m.net_ids.end())
       throw std::out_of_range("emit_cpp: no net '" + w + "'");
     os << "    std::printf(\"%.17g\\n\", S["
-       << net_slots_[static_cast<std::size_t>(it->second)] << "]);\n";
+       << m.net_slots[static_cast<std::size_t>(it->second)] << "]);\n";
   }
   os << "  }\n  return 0;\n}\n";
 }

@@ -7,7 +7,7 @@
 // forms:
 //
 //   * the in-process JIT (src/jit) compiles it to a shared object and
-//     points the block at a live CompiledSystem's slot arrays — one object
+//     points the block at a width-1 sim::LaneDriver's arrays — one object
 //     drives any number of instances, and the host keeps owning slots,
 //     tokens, external drives and snapshots;
 //   * CompiledSystem::emit_cpp appends a main() driver with image-seeded
@@ -33,9 +33,11 @@ namespace asicpp::sim {
 inline constexpr std::uint32_t kJitAbi = 1;
 
 /// The state block handed to every generated function. Mirrored textually
-/// in the emitted source; any change here bumps kJitAbi.
+/// in the emitted source; any change here bumps kJitAbi. The per-component
+/// arrays are laid out like sim::LaneDriver's at width 1, so the JIT points
+/// them straight at the driver.
 struct JitState {
-  double* S = nullptr;         ///< CompiledSystem slot array
+  double* S = nullptr;         ///< slot array
   unsigned char* T = nullptr;  ///< net token flags
   int* state = nullptr;        ///< per-component FSM state
   int* fired = nullptr;        ///< per-component fired flag

@@ -1,0 +1,911 @@
+#include "sim/driver.h"
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <set>
+#include <sstream>
+#include <stdexcept>
+
+#include "ckpt/snapshot.h"
+#include "opt/semantics.h"
+
+namespace asicpp::sim {
+
+using Kind = Image::Kind;
+
+namespace {
+
+// fixpt::quantize with the Format-derived constants hoisted out of the lane
+// loop. fixpt::quantize recomputes its scale and clamp bounds from the Format
+// on every call, which dominates cast/commit-heavy tapes; here they are
+// computed once per instruction. Scaling by an exact power of two and the
+// identical round/floor + clamp sequence keeps every lane bit-identical to
+// the scalar path (clamping an in-range mantissa is a no-op, and min/max
+// propagate NaN exactly like the original range test). The two's-complement
+// wrap case keeps the library call — it needs fmod and is rare in practice.
+struct QuantSpec {
+  double scale, inv_scale, hi, lo;
+  bool round, saturate;
+  explicit QuantSpec(const fixpt::Format& f)
+      : scale(std::ldexp(1.0, f.frac_bits())),
+        inv_scale(std::ldexp(1.0, -f.frac_bits())),
+        hi(std::ldexp(f.max_value(), f.frac_bits())),
+        lo(std::ldexp(f.min_value(), f.frac_bits())),
+        round(f.quant == fixpt::Quant::kRound),
+        saturate(f.ovf == fixpt::Overflow::kSaturate) {}
+};
+
+inline double quantize_one(double v, const QuantSpec& q,
+                           const fixpt::Format& fmt) {
+  if (!q.saturate) return fixpt::quantize(v, fmt);
+  double m = q.round ? std::round(v * q.scale) : std::floor(v * q.scale);
+  m = std::min(std::max(m, q.lo), q.hi);
+  return m * q.inv_scale;
+}
+
+void quantize_lanes(double* d, const double* a, unsigned L,
+                    const fixpt::Format& fmt) {
+  const QuantSpec q(fmt);
+  if (!q.saturate) {
+    for (unsigned l = 0; l < L; ++l) d[l] = fixpt::quantize(a[l], fmt);
+    return;
+  }
+  if (q.round) {
+    for (unsigned l = 0; l < L; ++l) {
+      double m = std::round(a[l] * q.scale);
+      m = std::min(std::max(m, q.lo), q.hi);
+      d[l] = m * q.inv_scale;
+    }
+  } else {
+    for (unsigned l = 0; l < L; ++l) {
+      double m = std::floor(a[l] * q.scale);
+      m = std::min(std::max(m, q.lo), q.hi);
+      d[l] = m * q.inv_scale;
+    }
+  }
+}
+
+// The SoA tape kernel: each instruction runs over the full lane vector —
+// contiguous loads/stores, no per-lane branching — which is what makes a
+// batch auto-vectorizable. The hot operators get dedicated loops; the rest
+// share the one semantics definition in opt/apply_op_value.
+void exec_lanes(const Tape& tape, double* slots, unsigned L) {
+  const auto at = [&](std::int32_t s) {
+    return slots + static_cast<std::size_t>(s) * L;
+  };
+  for (const Instr& i : tape) {
+    double* d = at(i.dst);
+    const double* a = at(i.a);
+    if (i.op == sfg::Op::kCount) {  // plain / quantized copy
+      if (i.quant) {
+        quantize_lanes(d, a, L, i.fmt);
+      } else {
+        for (unsigned l = 0; l < L; ++l) d[l] = a[l];
+      }
+      continue;
+    }
+    const double* b = i.b >= 0 ? at(i.b) : nullptr;
+    const double* c = i.c >= 0 ? at(i.c) : nullptr;
+    switch (i.op) {
+      case sfg::Op::kAdd:
+        for (unsigned l = 0; l < L; ++l) d[l] = a[l] + b[l];
+        break;
+      case sfg::Op::kSub:
+        for (unsigned l = 0; l < L; ++l) d[l] = a[l] - b[l];
+        break;
+      case sfg::Op::kMul:
+        for (unsigned l = 0; l < L; ++l) d[l] = a[l] * b[l];
+        break;
+      case sfg::Op::kNeg:
+        for (unsigned l = 0; l < L; ++l) d[l] = -a[l];
+        break;
+      case sfg::Op::kMux:
+        for (unsigned l = 0; l < L; ++l) d[l] = a[l] != 0.0 ? b[l] : c[l];
+        break;
+      case sfg::Op::kCast:
+        quantize_lanes(d, a, L, i.fmt);
+        break;
+      default:
+        for (unsigned l = 0; l < L; ++l) {
+          d[l] = opt::apply_op_value(i.op, a[l], b != nullptr ? b[l] : 0.0,
+                                     c != nullptr ? c[l] : 0.0, i.fmt);
+        }
+        break;
+    }
+  }
+}
+
+// Grouping key of an FSM lane: its (state, pending transition) pair.
+std::uint64_t fsm_key(int state, int pending) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(state)) << 32) |
+         static_cast<std::uint32_t>(pending);
+}
+
+constexpr unsigned kLane0[1] = {0};
+
+}  // namespace
+
+template <unsigned W>
+LaneDriver<W>::LaneDriver(std::shared_ptr<const Image> img, unsigned lanes,
+                          const char* engine)
+    : img_(std::move(img)), lanes_(W != kRuntimeLanes ? W : lanes), engine_(engine) {
+  if (lanes_ == 0)
+    throw std::invalid_argument(std::string(engine) + ": lane count must be >= 1");
+  const Image& m = *img_;
+  const unsigned L = lanes_;
+  const auto broadcast = [L](std::vector<double>& to, const std::vector<double>& from) {
+    to.resize(from.size() * L);
+    for (std::size_t i = 0; i < from.size(); ++i)
+      std::fill_n(to.begin() + static_cast<std::ptrdiff_t>(i * L), L, from[i]);
+  };
+  broadcast(slots_, m.init_slots);
+  std::vector<double> refresh_init;
+  for (const auto s : m.refresh) refresh_init.push_back(m.init_slots[static_cast<std::size_t>(s)]);
+  broadcast(refresh_, refresh_init);
+  tok_.assign(m.nets.size() * L, 0);
+  const std::size_t nc = m.comps.size();
+  state_.resize(nc * L);
+  for (std::size_t c = 0; c < nc; ++c)
+    std::fill_n(state_.begin() + static_cast<std::ptrdiff_t>(c * L), L, m.comps[c].start);
+  fired_.assign(nc * L, 0);
+  sel_.assign(nc * L, -1);
+  pending_.assign(nc * L, -1);
+  if constexpr (W != 1) {
+    for (unsigned l = 0; l < L; ++l) lane_ids_.push_back(l);
+    group_.reserve(L);
+    keys_.assign(L, 0);
+    taken_.assign(L, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lane groups
+
+template <unsigned W>
+typename LaneDriver<W>::Group LaneDriver<W>::all_lanes() const {
+  if constexpr (W == 1) {
+    return Group(kLane0);
+  } else {
+    return Group(lane_ids_);
+  }
+}
+
+// Calls fn(group, key) once per group of lanes satisfying `pred`, lanes
+// grouped by equal key(lane), groups in order of their first lane. At width
+// 1 this is one call with no scratch, which keeps fire() safe to run from
+// the level-parallel walk; at runtime width the lock-step common case —
+// every lane qualifies with one key — is one full-lane group.
+template <unsigned W>
+template <class Pred, class Key, class Fn>
+void LaneDriver<W>::for_groups(Pred pred, Key key, Fn fn) {
+  if constexpr (W == 1) {
+    if (pred(0u)) fn(Group(kLane0), key(0u));
+  } else {
+    const unsigned L = lanes();
+    unsigned n = 0;
+    bool uniform = true;
+    for (unsigned l = 0; l < L; ++l) {
+      taken_[l] = pred(l) ? 0 : 1;
+      if (taken_[l] != 0) continue;
+      keys_[l] = key(l);
+      uniform = uniform && keys_[l] == keys_[0];  // decides only when n == L
+      ++n;
+    }
+    if (n == L && uniform) {
+      fn(Group(lane_ids_), keys_[0]);
+      return;
+    }
+    for (unsigned l0 = 0; l0 < L; ++l0) {
+      if (taken_[l0] != 0) continue;
+      group_.clear();
+      for (unsigned l = l0; l < L; ++l) {
+        if (taken_[l] == 0 && keys_[l] == keys_[l0]) {
+          group_.push_back(l);
+          taken_[l] = 1;
+        }
+      }
+      fn(Group(group_), keys_[l0]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tapes, pushes and commits
+
+template <unsigned W>
+void LaneDriver<W>::run_tape(const Tape& tape) {
+  if constexpr (W == 1) {
+    exec(tape, slots_.data());
+  } else {
+    exec_lanes(tape, slots_.data(), lanes());
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::push(const std::vector<Image::SfgCode::Push>& pushes, Group g) {
+  const unsigned L = lanes();
+  for (const auto& p : pushes) {
+    double* net = net_values(p.net);
+    const double* src = lane_slots(p.src);
+    std::uint8_t* tok = tokens(p.net);
+    if (W == 1 || g.size() == L) {
+      for (unsigned l = 0; l < L; ++l) {
+        net[l] = src[l];
+        tok[l] = 1;
+      }
+    } else {
+      for (const unsigned l : g) {
+        net[l] = src[l];
+        tok[l] = 1;
+      }
+    }
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::run_pre(std::int32_t id, Group g) {
+  const Image::SfgCode& s = img_->sfgs[static_cast<std::size_t>(id)];
+  run_tape(s.pre);
+  ops_.add(s.pre.size() * lanes());
+  push(s.pre_pushes, g);
+}
+
+template <unsigned W>
+void LaneDriver<W>::run_main(std::int32_t id, Group g) {
+  const Image::SfgCode& s = img_->sfgs[static_cast<std::size_t>(id)];
+  run_tape(s.load_inputs);
+  run_tape(s.main);
+  ops_.add((s.load_inputs.size() + s.main.size()) * lanes());
+  push(s.main_pushes, g);
+}
+
+template <unsigned W>
+void LaneDriver<W>::commit_sfg(std::int32_t id, Group g) {
+  const unsigned L = lanes();
+  for (const auto& cm : img_->sfgs[static_cast<std::size_t>(id)].commits) {
+    double* dst = lane_slots(cm.dst);
+    const double* src = lane_slots(cm.src);
+    if constexpr (W == 1) {
+      dst[0] = cm.has_fmt ? fixpt::quantize(src[0], cm.fmt) : src[0];
+    } else if (g.size() == L) {
+      if (cm.has_fmt) {
+        quantize_lanes(dst, src, L, cm.fmt);
+      } else {
+        std::copy_n(src, L, dst);
+      }
+    } else if (cm.has_fmt) {
+      const QuantSpec q(cm.fmt);
+      for (const unsigned l : g) dst[l] = quantize_one(src[l], q, cm.fmt);
+    } else {
+      for (const unsigned l : g) dst[l] = src[l];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-lane firing state
+
+template <unsigned W>
+const Image::GuardedTransition& LaneDriver<W>::transition(const Comp& c, int state,
+                                                         int pending) const {
+  return c.by_state[static_cast<std::size_t>(state)][static_cast<std::size_t>(pending)];
+}
+
+template <unsigned W>
+bool LaneDriver<W>::ready(std::int32_t sfg, unsigned lane) const {
+  for (const auto n : img_->sfgs[static_cast<std::size_t>(sfg)].required_nets)
+    if (tokens(n)[lane] == 0) return false;
+  return true;
+}
+
+template <unsigned W>
+bool LaneDriver<W>::done(std::size_t ci) const {
+  const auto i = static_cast<std::int32_t>(ci);
+  const int* fired = fired_.data() + idx(i);
+  const bool fsm = img_->comps[ci].kind == Kind::kFsm;
+  const int* pend = pending_.data() + idx(i);
+  for (unsigned l = 0; l < lanes(); ++l)
+    if (fired[l] == 0 && !(fsm && pend[l] < 0)) return false;
+  return true;
+}
+
+// Untimed components are opportunistic: never blocked, only left unfired.
+template <unsigned W>
+bool LaneDriver<W>::blocked(std::size_t ci, unsigned lane) const {
+  const std::size_t k = idx(static_cast<std::int32_t>(ci)) + lane;
+  switch (img_->comps[ci].kind) {
+    case Kind::kFsm: return pending_[k] >= 0 && fired_[k] == 0;
+    case Kind::kUntimed: return false;
+    default: return fired_[k] == 0;
+  }
+}
+
+template <unsigned W>
+bool LaneDriver<W>::any_blocked() const {
+  for (std::size_t ci = 0; ci < img_->comps.size(); ++ci)
+    for (unsigned l = 0; l < lanes(); ++l)
+      if (blocked(ci, l)) return true;
+  return false;
+}
+
+template <unsigned W>
+void LaneDriver<W>::invoke_untimed(std::size_t ci, unsigned lane) {
+  const Comp& c = img_->comps[ci];
+  std::vector<fixpt::Fixed> in;
+  in.reserve(c.in_nets.size());
+  for (const auto n : c.in_nets) in.emplace_back(net_values(n)[lane]);
+  const auto out = c.untimed->invoke(in);
+  if (out.size() != c.out_nets.size())
+    throw std::logic_error(std::string(engine_) + " '" + c.name +
+                           "': untimed arity mismatch");
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    net_values(c.out_nets[i])[lane] = out[i].value();
+    tokens(c.out_nets[i])[lane] = 1;
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::unknown_opcode(std::size_t ci, long long opcode,
+                                   unsigned lane) const {
+  throw std::logic_error(std::string(engine_) + " '" + img_->comps[ci].name +
+                         "': unknown opcode " + std::to_string(opcode) +
+                         " and no default" +
+                         (lanes() > 1 ? " (lane " + std::to_string(lane) + ")" : ""));
+}
+
+// Fire component `ci` in every lane that is ready. Returns progress: a lane
+// fired, or a dispatch lane decoded its instruction.
+template <unsigned W>
+bool LaneDriver<W>::fire(std::size_t ci) {
+  const Comp& c = img_->comps[ci];
+  const auto i = static_cast<std::int32_t>(ci);
+  int* fired = fired_.data() + idx(i);
+  bool progress = false;
+  const auto fired_group = [&](Group g) {
+    for (const unsigned l : g) fired[l] = 1;
+    fired_total_.add(g.size());
+    progress = true;
+  };
+  switch (c.kind) {
+    case Kind::kFsm: {
+      const int* st = state_.data() + idx(i);
+      const int* pend = pending_.data() + idx(i);
+      for_groups(
+          [&](unsigned l) {
+            if (fired[l] != 0 || pend[l] < 0) return false;
+            for (const auto id : transition(c, st[l], pend[l]).sfgs)
+              if (!ready(id, l)) return false;
+            return true;
+          },
+          [&](unsigned l) { return fsm_key(st[l], pend[l]); },
+          [&](Group g, std::uint64_t) {
+            for (const auto id : transition(c, st[g[0]], pend[g[0]]).sfgs) run_main(id, g);
+            fired_group(g);
+          });
+      break;
+    }
+    case Kind::kSfg:
+      for_groups([&](unsigned l) { return fired[l] == 0 && ready(c.solo_sfg, l); },
+                 [](unsigned) { return std::uint64_t{0}; },
+                 [&](Group g, std::uint64_t) {
+                   run_main(c.solo_sfg, g);
+                   fired_group(g);
+                 });
+      break;
+    case Kind::kDispatch: {
+      // Decode: lanes whose instruction token arrived select their SFG
+      // (different lanes may run different opcodes) and produce its tokens.
+      int* sel = sel_.data() + idx(i);
+      const std::uint8_t* itok = tokens(c.instr_net);
+      const double* ival = net_values(c.instr_net);
+      for_groups(
+          [&](unsigned l) { return fired[l] == 0 && sel[l] < 0 && itok[l] != 0; },
+          [&](unsigned l) {
+            const long opcode = std::lround(ival[l]);
+            const auto it = c.table.find(opcode);
+            const std::int32_t s = it != c.table.end() ? it->second : c.default_sfg;
+            if (s < 0) unknown_opcode(ci, opcode, l);
+            return static_cast<std::uint64_t>(s);
+          },
+          [&](Group g, std::uint64_t s) {
+            for (const unsigned l : g) sel[l] = static_cast<int>(s);
+            run_pre(static_cast<std::int32_t>(s), g);
+            progress = true;
+          });
+      for_groups([&](unsigned l) { return fired[l] == 0 && sel[l] >= 0 && ready(sel[l], l); },
+                 [&](unsigned l) { return static_cast<std::uint64_t>(sel[l]); },
+                 [&](Group g, std::uint64_t s) {
+                   run_main(static_cast<std::int32_t>(s), g);
+                   fired_group(g);
+                 });
+      break;
+    }
+    case Kind::kUntimed:
+      // The closure is shared across lanes, so it runs once per ready lane
+      // with that lane's inputs.
+      for (unsigned l = 0; l < lanes(); ++l) {
+        if (fired[l] != 0) continue;
+        bool ok = true;
+        for (const auto n : c.in_nets) ok = ok && tokens(n)[l] != 0;
+        if (!ok) continue;
+        invoke_untimed(ci, l);
+        fired[l] = 1;
+        fired_total_.add();
+        progress = true;
+      }
+      break;
+  }
+  return progress;
+}
+
+template <unsigned W>
+bool LaneDriver<W>::try_fire(std::size_t ci) {
+  if (!profile_) return fire(ci);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t before = fired_total_.get();
+  const bool progress = fire(ci);
+  auto& e = prof_[ci];
+  e.second += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  e.first += fired_total_.get() - before;
+  return progress;
+}
+
+// ---------------------------------------------------------------------------
+// The four phases
+
+template <unsigned W>
+void LaneDriver<W>::begin_cycle() {
+  // Pins live on the shared sched::Net objects, so tests and benches flip
+  // them between cycles and a drive broadcasts to every lane; per-lane
+  // stimulus goes through the refresh values.
+  const Image& m = *img_;
+  const unsigned L = lanes();
+  std::fill(tok_.begin(), tok_.end(), 0);
+  for (std::size_t n = 0; n < m.nets.size(); ++n) {
+    sched::Net* net = m.nets[n];
+    net->begin_cycle();
+    if (!net->has_token()) continue;
+    const auto id = static_cast<std::int32_t>(n);
+    std::fill_n(net_values(id), L, net->token().value());
+    std::fill_n(tokens(id), L, 1);
+  }
+  for (std::size_t r = 0; r < m.refresh.size(); ++r)
+    std::copy_n(refresh_.data() + r * L, L, lane_slots(m.refresh[r]));
+}
+
+template <unsigned W>
+void LaneDriver<W>::select_transitions() {
+  std::fill(fired_.begin(), fired_.end(), 0);
+  std::fill(sel_.begin(), sel_.end(), -1);
+  std::fill(pending_.begin(), pending_.end(), -1);
+  for (std::size_t ci = 0; ci < img_->comps.size(); ++ci) {
+    const Comp& c = img_->comps[ci];
+    if (c.kind != Kind::kFsm) continue;
+    const int* st = state_.data() + idx(static_cast<std::int32_t>(ci));
+    int* pend = pending_.data() + idx(static_cast<std::int32_t>(ci));
+    // Lanes in one state share its guard tapes, run in order until every
+    // lane of the group has picked a transition.
+    for_groups([](unsigned) { return true; },
+               [&](unsigned l) { return static_cast<std::uint64_t>(st[l]); },
+               [&](Group g, std::uint64_t state) {
+                 std::size_t open = g.size();
+                 const auto& ts = c.by_state[state];
+                 for (std::size_t ti = 0; ti < ts.size() && open > 0; ++ti) {
+                   const double* guard = nullptr;
+                   if (!ts[ti].always) {
+                     run_tape(ts[ti].guard);
+                     ops_.add(ts[ti].guard.size() * lanes());
+                     guard = lane_slots(ts[ti].guard_slot);
+                   }
+                   for (const unsigned l : g) {
+                     if (pend[l] >= 0 || (guard != nullptr && guard[l] == 0.0)) continue;
+                     pend[l] = static_cast<int>(ti);
+                     --open;
+                   }
+                 }
+               });
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::produce_tokens() {
+  for (std::size_t ci = 0; ci < img_->comps.size(); ++ci) {
+    const Comp& c = img_->comps[ci];
+    if (c.kind == Kind::kSfg) {
+      run_pre(c.solo_sfg, all_lanes());
+    } else if (c.kind == Kind::kFsm) {
+      const int* st = state_.data() + idx(static_cast<std::int32_t>(ci));
+      const int* pend = pending_.data() + idx(static_cast<std::int32_t>(ci));
+      for_groups([&](unsigned l) { return pend[l] >= 0; },
+                 [&](unsigned l) { return fsm_key(st[l], pend[l]); },
+                 [&](Group g, std::uint64_t) {
+                   for (const auto id : transition(c, st[g[0]], pend[g[0]]).sfgs)
+                     run_pre(id, g);
+                 });
+    }
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::evaluate() {
+  const Image& m = *img_;
+  bool need_iterative = true;
+  bool walk_missed = false;
+  if (mode_ != ScheduleMode::kIterative && m.levelizable && sched_failures_ < 2) {
+    // Profiled runs stay serial (the timing table is single-owner), as
+    // does a system already running on a pool lane.
+    bool walked = false;
+    if constexpr (W == 1) {
+      if (threads_ > 1 && !profile_ && !par::Pool::in_parallel_region()) {
+        walk_levels_parallel(m, threads_, [&](std::size_t k) {
+          const auto ci = static_cast<std::size_t>(m.level_order[k].comp);
+          if (!done(ci)) fire(ci);
+        });
+        walked = true;
+      }
+    }
+    if (!walked) {
+      for (const auto& s : m.level_order) {
+        const auto ci = static_cast<std::size_t>(s.comp);
+        if (!done(ci)) try_fire(ci);
+      }
+    }
+    need_iterative = walk_missed = any_blocked();
+    if (!need_iterative) {
+      ++levelized_cycles_total_;
+      sched_failures_ = 0;
+    }
+  } else if (mode_ == ScheduleMode::kLevelized && !m.levelizable && !sched002_reported_) {
+    auto& d = diagnostics().warning(
+        "SCHED-002", engine_,
+        "levelized schedule requested but the system cannot be statically "
+        "ordered (" + m.sched_reason + "); running iteratively");
+    d.cycle = cycles_;
+    sched002_reported_ = true;
+  }
+  if (!need_iterative) return;
+
+  // Iterative sweep (also the fallback after a missed walk).
+  int iters = walk_missed ? 1 : 0;
+  for (;;) {
+    bool progress = false;
+    bool all_done = true;
+    for (std::size_t ci = 0; ci < m.comps.size(); ++ci) {
+      if (done(ci)) continue;
+      if (try_fire(ci)) progress = true;
+      if (!done(ci)) all_done = false;
+    }
+    ++iters;
+    if (iters > 1) ++retry_passes_total_;
+    if (all_done) break;
+    if (!progress || iters >= m.max_iters) {
+      if (any_blocked()) deadlock();
+      break;
+    }
+  }
+  if (walk_missed) {
+    ++sched_failures_;
+    auto& d = diagnostics().warning(
+        "SCHED-002", engine_,
+        "schedule invalidated: the static level walk left components "
+        "unfired; cycle recovered iteratively" +
+            std::string(sched_failures_ >= 2 ? " (repeat miss — reverting to iterative mode)"
+                                             : ""));
+    d.cycle = cycles_;
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::commit() {
+  for (std::size_t ci = 0; ci < img_->comps.size(); ++ci) {
+    const Comp& c = img_->comps[ci];
+    const auto i = static_cast<std::int32_t>(ci);
+    const int* fired = fired_.data() + idx(i);
+    const auto was_fired = [fired](unsigned l) { return fired[l] != 0; };
+    switch (c.kind) {
+      case Kind::kFsm: {
+        int* st = state_.data() + idx(i);
+        const int* pend = pending_.data() + idx(i);
+        for_groups(was_fired, [&](unsigned l) { return fsm_key(st[l], pend[l]); },
+                   [&](Group g, std::uint64_t) {
+                     const auto& gt = transition(c, st[g[0]], pend[g[0]]);
+                     for (const auto id : gt.sfgs) commit_sfg(id, g);
+                     for (const unsigned l : g) st[l] = gt.to;
+                   });
+        break;
+      }
+      case Kind::kSfg:
+        for_groups(was_fired, [](unsigned) { return std::uint64_t{0}; },
+                   [&](Group g, std::uint64_t) { commit_sfg(c.solo_sfg, g); });
+        break;
+      case Kind::kDispatch: {
+        const int* sel = sel_.data() + idx(i);
+        for_groups(was_fired, [&](unsigned l) { return static_cast<std::uint64_t>(sel[l]); },
+                   [&](Group g, std::uint64_t s) {
+                     commit_sfg(static_cast<std::int32_t>(s), g);
+                   });
+        break;
+      }
+      case Kind::kUntimed:
+        break;
+    }
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::cycle() {
+  begin_cycle();
+  select_transitions();  // phase 0
+  produce_tokens();      // phase 1
+  evaluate();            // phase 2
+  commit();              // phase 3
+  ++cycles_;
+}
+
+template <unsigned W>
+RunResult LaneDriver<W>::run_steps(const RunOptions& opts, const char* engine,
+                                   const std::function<void()>& step) {
+  struct Restore {
+    LaneDriver* s;
+    diag::DiagEngine* diag;
+    ScheduleMode mode;
+    unsigned threads;
+    ~Restore() {
+      s->diag_ = diag;
+      s->mode_ = mode;
+      s->threads_ = threads;
+      s->profile_ = false;
+    }
+  } restore{this, diag_, mode_, threads_};
+  if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
+  mode_ = opts.schedule;
+  // The lane loop is the runtime width's parallelism; only the solo
+  // engine partitions the level walk across threads.
+  if constexpr (W == 1)
+    threads_ = opts.nthreads == 0 ? par::Pool::hardware_lanes() : opts.nthreads;
+  profile_ = opts.profile;
+  if (profile_) prof_.assign(img_->comps.size(), {0, 0.0});
+
+  RunResult r = run_cycles(
+      opts, engine, diagnostics(), watchdog_tripped_,
+      [&] {
+        return CycleTotals{cycles_, fired_total_.get(), retry_passes_total_,
+                           levelized_cycles_total_};
+      },
+      step);
+  if (opts.profile) {
+    for (std::size_t i = 0; i < img_->comps.size(); ++i) {
+      if (prof_[i].first == 0 && prof_[i].second == 0.0) continue;
+      r.timing.push_back(
+          ComponentTiming{img_->comps[i].name, prof_[i].first, prof_[i].second});
+    }
+  }
+  return r;
+}
+
+template <unsigned W>
+void LaneDriver<W>::reset() {
+  const unsigned L = lanes();
+  for (const auto& r : img_->reg_inits) std::fill_n(lane_slots(r.slot), L, r.init);
+  for (std::size_t ci = 0; ci < img_->comps.size(); ++ci) {
+    const Comp& c = img_->comps[ci];
+    if (c.kind == Kind::kFsm)
+      std::fill_n(state_.data() + idx(static_cast<std::int32_t>(ci)), L, c.initial);
+  }
+  cycles_ = 0;
+}
+
+template <unsigned W>
+std::size_t LaneDriver<W>::footprint_bytes() const {
+  return img_->footprint_bytes() +
+         (slots_.capacity() + refresh_.capacity()) * sizeof(double) + tok_.capacity() +
+         (state_.capacity() + fired_.capacity() + sel_.capacity() + pending_.capacity()) *
+             sizeof(int);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot body
+
+template <unsigned W>
+void LaneDriver<W>::save_lane_body(ckpt::Writer& w, unsigned lane) const {
+  const Image& m = *img_;
+  w.u32(static_cast<std::uint32_t>(m.init_slots.size()));
+  for (std::size_t s = 0; s < m.init_slots.size(); ++s)
+    w.f64(lane_slots(static_cast<std::int32_t>(s))[lane]);
+  w.u32(static_cast<std::uint32_t>(m.nets.size()));
+  for (std::size_t n = 0; n < m.nets.size(); ++n)
+    w.u8(tokens(static_cast<std::int32_t>(n))[lane]);
+  w.u32(static_cast<std::uint32_t>(m.comps.size()));
+  for (std::size_t ci = 0; ci < m.comps.size(); ++ci) {
+    const Comp& c = m.comps[ci];
+    w.i32(c.kind == Kind::kFsm ? state_[idx(static_cast<std::int32_t>(ci)) + lane] : 0);
+    w.u64(c.kind == Kind::kUntimed ? c.untimed->firings() : 0);
+  }
+}
+
+template <unsigned W>
+void LaneDriver<W>::restore_lane_body(ckpt::Reader& r, unsigned lane) {
+  const Image& m = *img_;
+  const auto expect = [&r](std::size_t limit, std::size_t want, const char* what) {
+    const std::size_t got = r.count(limit);
+    if (got != want) {
+      r.fail("CKPT-004", "truncated or corrupt snapshot stream",
+             {"snapshot carries " + std::to_string(got) + " " + what +
+              ", this image has " + std::to_string(want)});
+    }
+  };
+  expect(1u << 26, m.init_slots.size(), "slot(s)");
+  for (std::size_t s = 0; s < m.init_slots.size(); ++s)
+    lane_slots(static_cast<std::int32_t>(s))[lane] = r.f64();
+  expect(1u << 26, m.nets.size(), "net token flag(s)");
+  for (std::size_t n = 0; n < m.nets.size(); ++n)
+    tokens(static_cast<std::int32_t>(n))[lane] = r.u8();
+  expect(1u << 24, m.comps.size(), "component(s)");
+  for (std::size_t ci = 0; ci < m.comps.size(); ++ci) {
+    const Comp& c = m.comps[ci];
+    const std::int32_t state = r.i32();
+    const std::uint64_t firings = r.u64();
+    if (c.kind == Kind::kFsm) {
+      if (state < 0 || static_cast<std::size_t>(state) >= c.by_state.size()) {
+        r.fail("CKPT-004", "truncated or corrupt snapshot stream",
+               {"component '" + c.name + "': FSM state index " +
+                std::to_string(state) + " out of range"});
+      }
+      state_[idx(static_cast<std::int32_t>(ci)) + lane] = state;
+    } else if (c.kind == Kind::kUntimed) {
+      // The firing counter lives on the shared UntimedComponent; the
+      // closure's captured state is out of scope (see sched/untimed.h).
+      c.untimed->set_firings(static_cast<std::size_t>(firings));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Deadlock post-mortem
+
+template <unsigned W>
+std::vector<std::int32_t> LaneDriver<W>::waiting_nets(std::size_t ci,
+                                                      unsigned lane) const {
+  const Comp& c = img_->comps[ci];
+  const std::size_t k = idx(static_cast<std::int32_t>(ci)) + lane;
+  std::vector<std::int32_t> nets;
+  const auto missing_of = [&](std::int32_t sfg) {
+    for (const auto n : img_->sfgs[static_cast<std::size_t>(sfg)].required_nets)
+      if (tokens(n)[lane] == 0) nets.push_back(n);
+  };
+  switch (c.kind) {
+    case Kind::kFsm:
+      if (pending_[k] >= 0)
+        for (const auto id : transition(c, state_[k], pending_[k]).sfgs) missing_of(id);
+      break;
+    case Kind::kSfg: missing_of(c.solo_sfg); break;
+    case Kind::kDispatch:
+      if (sel_[k] >= 0) {
+        missing_of(sel_[k]);
+      } else if (tokens(c.instr_net)[lane] == 0) {
+        nets.push_back(c.instr_net);
+      }
+      break;
+    case Kind::kUntimed:
+      for (const auto n : c.in_nets)
+        if (tokens(n)[lane] == 0) nets.push_back(n);
+      break;
+  }
+  return nets;
+}
+
+template <unsigned W>
+std::vector<std::int32_t> LaneDriver<W>::pending_outputs(std::size_t ci,
+                                                         unsigned lane) const {
+  const Comp& c = img_->comps[ci];
+  const std::size_t k = idx(static_cast<std::int32_t>(ci)) + lane;
+  std::vector<std::int32_t> nets;
+  const auto pushes_of = [&](std::int32_t sfg) {
+    const Image::SfgCode& s = img_->sfgs[static_cast<std::size_t>(sfg)];
+    for (const auto& p : s.pre_pushes) nets.push_back(p.net);
+    for (const auto& p : s.main_pushes) nets.push_back(p.net);
+  };
+  switch (c.kind) {
+    case Kind::kFsm:
+      if (pending_[k] >= 0)
+        for (const auto id : transition(c, state_[k], pending_[k]).sfgs) pushes_of(id);
+      break;
+    case Kind::kSfg: pushes_of(c.solo_sfg); break;
+    case Kind::kDispatch:
+      if (sel_[k] >= 0) {
+        pushes_of(sel_[k]);
+      } else {
+        for (const auto& [_, id] : c.table) pushes_of(id);
+        if (c.default_sfg >= 0) pushes_of(c.default_sfg);
+      }
+      break;
+    case Kind::kUntimed:
+      nets = c.out_nets;
+      break;
+  }
+  return nets;
+}
+
+// Names the first deadlocked lane's unfired components, what each waits
+// on, the dependency cycle among them, and the involved nets' last values.
+template <unsigned W>
+diag::Diagnostic LaneDriver<W>::postmortem() const {
+  const Image& m = *img_;
+  unsigned lane = 0;
+  while (lane + 1 < lanes()) {
+    bool any = false;
+    for (std::size_t ci = 0; ci < m.comps.size() && !any; ++ci) any = blocked(ci, lane);
+    if (any) break;
+    ++lane;
+  }
+  std::vector<std::size_t> stuck;
+  for (std::size_t ci = 0; ci < m.comps.size(); ++ci)
+    if (blocked(ci, lane)) stuck.push_back(ci);
+
+  diag::Diagnostic d;
+  d.severity = diag::Severity::kFatal;
+  d.code = "SCHED-001";
+  d.component = engine_;
+  d.cycle = cycles_;
+  std::string names;
+  for (const auto ci : stuck) names += (names.empty() ? "" : ", ") + m.comps[ci].name;
+  d.message = "combinational deadlock, unfired components: " + names;
+  if (lanes() > 1) d.message += " (lane " + std::to_string(lane) + ")";
+
+  const auto net_name = [&](std::int32_t n) {
+    return m.net_names[static_cast<std::size_t>(n)];
+  };
+  std::set<std::int32_t> involved;
+  for (const auto ci : stuck) {
+    std::string waits;
+    for (const auto n : waiting_nets(ci, lane)) {
+      involved.insert(n);
+      waits += (waits.empty() ? "" : ", ") + ("'" + net_name(n) + "'");
+    }
+    d.note("component '" + m.comps[ci].name + "' waits on net" +
+           (waits.empty() ? "s: (none — iteration bound too low?)" : "(s): " + waits));
+  }
+
+  std::vector<std::vector<int>> adj(stuck.size());
+  for (std::size_t i = 0; i < stuck.size(); ++i)
+    for (const auto n : waiting_nets(stuck[i], lane))
+      for (std::size_t j = 0; j < stuck.size(); ++j) {
+        if (i == j) continue;
+        for (const auto p : pending_outputs(stuck[j], lane))
+          if (p == n) adj[i].push_back(static_cast<int>(j));
+      }
+  const auto cyc = diag::find_cycle(adj);
+  if (!cyc.empty()) {
+    const auto at = [&](std::size_t k) { return stuck[static_cast<std::size_t>(cyc[k])]; };
+    std::string chain = m.comps[at(0)].name;
+    for (std::size_t k = 1; k < cyc.size(); ++k) {
+      std::string via;
+      for (const auto n : waiting_nets(at(k - 1), lane))
+        for (const auto p : pending_outputs(at(k), lane))
+          if (p == n) via = net_name(n);
+      chain += " -[" + via + "]-> " + m.comps[at(k)].name;
+    }
+    d.note("dependency cycle: " + chain);
+  }
+
+  for (const auto n : involved) {
+    std::ostringstream os;
+    os << "net '" << net_name(n) << "' last value = " << net_values(n)[lane]
+       << (tokens(n)[lane] != 0 ? " (token present)" : " (no token this cycle)");
+    d.note(os.str());
+  }
+  return d;
+}
+
+template <unsigned W>
+void LaneDriver<W>::deadlock() {
+  diag::Diagnostic d = postmortem();
+  diagnostics().report(d);
+  throw sched::DeadlockError(std::move(d));
+}
+
+template class LaneDriver<1>;
+template class LaneDriver<kRuntimeLanes>;
+
+}  // namespace asicpp::sim

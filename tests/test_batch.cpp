@@ -15,6 +15,8 @@
 #include "ckpt/snapshot.h"
 #include "diag/diag.h"
 #include "engine/engine.h"
+#include "fsm/fsm.h"
+#include "jit/jit.h"
 #include "sched/cyclesched.h"
 #include "sched/fsmcomp.h"
 #include "sim/compiled.h"
@@ -209,6 +211,97 @@ TEST(Batched, RunHonorsWatchdogAndCheckpointCadence) {
   EXPECT_TRUE(watchdog);
   EXPECT_GT(bs.ops_retired(), 0u);
   EXPECT_GT(bs.footprint_bytes(), 0u);
+}
+
+// --- one driver: SCHED-002 and profiling -----------------------------------
+
+/// Statically cyclic but live: `fsm` could read `back` in its (unreachable)
+/// state A, so the image has no level order, yet in state B it produces
+/// `fwd` in phase 1 and every cycle completes iteratively.
+struct StaticCycle {
+  Clk clk;
+  Sig back = Sig::input("back", kFmt);
+  Sig in = Sig::input("in", kFmt);
+  Sfg a{"a"}, b{"b"}, s{"s"};
+  fsm::Fsm f{"f"};
+  sched::FsmComponent fc{"fsm", f};
+  SfgComponent sc{"sfg", s};
+  CycleScheduler sched{clk};
+
+  StaticCycle() {
+    a.in(back).out("o", back + 1.0);
+    b.out("o", Sig(0.5) + 0.0);
+    s.in(in).out("o", in * 2.0);
+    fsm::State sa = f.state("A");
+    fsm::State sb = f.initial("B");
+    sa << fsm::always << a << sa;
+    sb << fsm::always << b << sb;
+    fc.bind_input(back, sched.net("back"));
+    fc.bind_output("o", sched.net("fwd"));
+    sc.bind_input(in, sched.net("fwd"));
+    sc.bind_output("o", sched.net("back"));
+    sched.add(fc);
+    sched.add(sc);
+  }
+};
+
+TEST(Batched, LevelizedRequestOnCyclicImageReportsSched002Once) {
+  StaticCycle ref, sys;
+  sim::CompiledSystem cs = sim::CompiledSystem::compile(ref.sched);
+  BatchedSystem bs = BatchedSystem::compile(sys.sched, 4);
+  ASSERT_FALSE(bs.levelizable());
+  const auto run = [](auto& engine) {
+    diag::DiagEngine de;
+    const RunResult r = engine.run(
+        RunOptions{}.for_cycles(5).mode(ScheduleMode::kLevelized).into(de));
+    EXPECT_EQ(r.cycles, 5u);
+    EXPECT_EQ(r.levelized_cycles, 0u);
+    int sched002 = 0;
+    for (const auto& d : de.all()) sched002 += d.code == "SCHED-002" ? 1 : 0;
+    return sched002;
+  };
+  EXPECT_EQ(run(cs), 1);
+  EXPECT_EQ(run(bs), 1);
+  for (unsigned l = 0; l < 4; ++l)
+    EXPECT_EQ(bs.net_value(l, "back"), cs.net_value("back")) << "lane " << l;
+}
+
+TEST(BatchedProfile, ListsCompiledComponentsWithLanesTimesFirings) {
+  Spec spec;
+  for (unsigned seed = 0;; ++seed) {
+    spec = batch_spec(seed);
+    if (spec.has(CompKind::kFsm) && spec.has(CompKind::kDispatch)) break;
+  }
+  const RunOptions ro = RunOptions{}.for_cycles(spec.cycles).profiled();
+  const auto names = [](const RunResult& r) {
+    std::vector<std::string> v;
+    for (const auto& t : r.timing) v.push_back(t.component);
+    return v;
+  };
+
+  System cs_sys(spec);
+  sim::CompiledSystem cs = sim::CompiledSystem::compile(cs_sys.scheduler());
+  const RunResult rc = cs.run(ro);
+  ASSERT_FALSE(rc.timing.empty());
+  EXPECT_EQ(rc.timing.size(), spec.comps.size());
+
+  System jit_sys(spec);
+  jit::JitOptions jo;
+  jo.cache_dir = ::testing::TempDir() + "/batch_profile_store";
+  jit::JitSystem js = jit::JitSystem::compile(jit_sys.scheduler(), {}, jo);
+  const RunResult rj = js.run(ro);
+  EXPECT_EQ(names(rj), names(rc));
+
+  for (const unsigned lanes : {1u, 4u}) {
+    System sys(spec);
+    BatchedSystem bs = BatchedSystem::compile(sys.scheduler(), lanes);
+    const RunResult rb = bs.run(ro);
+    ASSERT_EQ(names(rb), names(rc)) << "lanes=" << lanes;
+    EXPECT_EQ(rb.firings, lanes * rc.firings) << "lanes=" << lanes;
+    for (std::size_t i = 0; i < rc.timing.size(); ++i)
+      EXPECT_EQ(rb.timing[i].firings, lanes * rc.timing[i].firings)
+          << rc.timing[i].component << " lanes=" << lanes;
+  }
 }
 
 // --- per-lane checkpoint/restore -------------------------------------------

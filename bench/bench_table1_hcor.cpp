@@ -216,6 +216,16 @@ int main(int argc, char** argv) {
   using asicpp::bench::count_lines_between;
   using asicpp::bench::count_string_lines;
 
+  // Smoke mode (CI): skip the netlist synthesis report and the 20 M-cycle
+  // generated-binary timing; the registered benchmarks below still run and
+  // the JSON report is still written.
+  if (std::getenv("ASICPP_BENCH_SMOKE") != nullptr) {
+    benchmark::Initialize(&argc, argv);
+    asicpp::bench::JsonReporter reporter("table1_hcor");
+    benchmark::RunSpecifiedBenchmarks(&reporter);
+    return 0;
+  }
+
   std::printf("== Table 1 / HCOR: design size and source code size ==\n");
   const auto& nl = hcor_netlist();
   std::printf("gates: %d comb + %d dff (area %.0f eq-gates, depth %d)"

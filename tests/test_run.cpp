@@ -4,6 +4,7 @@
 // checkpoint cadence and on_cycle_end must behave the same on each.
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,10 @@ struct EngineCase {
   const char* engine;  ///< test parameter name
   const char* origin;  ///< component field of its watchdog diagnostics
 };
+
+// ctest names each case after how gtest prints its parameter. Printed as
+// raw bytes, that is two string addresses, which move on every link.
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.engine; }
 
 /// A free-running counter behind one engine's run().
 class Target {

@@ -25,24 +25,17 @@ std::string Format::to_string() const {
   return os.str();
 }
 
-double quantize(double v, const Format& f) {
-  const double scaled = std::ldexp(v, f.frac_bits());
-  double mant = (f.quant == Quant::kRound) ? std::round(scaled)
-                                           : std::floor(scaled);
-  const double hi = std::ldexp(f.max_value(), f.frac_bits());
-  const double lo = std::ldexp(f.min_value(), f.frac_bits());
-  if (mant > hi || mant < lo) {
-    if (f.ovf == Overflow::kSaturate) {
-      mant = (mant > hi) ? hi : lo;
-    } else {
-      // Two's-complement wraparound: fold the mantissa into [lo, hi].
-      const double span = std::ldexp(1.0, f.wl);
-      mant = std::fmod(mant - lo, span);
-      if (mant < 0) mant += span;
-      mant += lo;
-    }
-  }
-  return std::ldexp(mant, -f.frac_bits());
+// The defining ldexp formulation, used off the exact domain, where a scale
+// factor or bound is not a normal double and may carry its own rounding.
+void Quantizer::resolve_ldexp(const Format& f) {
+  hi_ = std::ldexp(f.max_value(), frac_);
+  lo_ = std::ldexp(f.min_value(), frac_);
+  span_ = std::ldexp(1.0, f.wl);
+}
+
+double Quantizer::via_ldexp(double v) const {
+  const double scaled = std::ldexp(v, frac_);
+  return std::ldexp(fold(round_ ? std::round(scaled) : std::floor(scaled)), -frac_);
 }
 
 bool representable(double v, const Format& f) { return quantize(v, f) == v; }

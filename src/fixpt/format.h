@@ -8,6 +8,8 @@
 // rounding / overflow disciplines.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -51,8 +53,62 @@ struct Format {
   std::string to_string() const;
 };
 
+/// The resolved constants of one Format: quantize(v, f) is Quantizer(f)(v).
+/// In the exact domain (1 <= wl <= 1023, iwl <= 1023, |frac_bits| <= 1022)
+/// each is a normal double that the ldexp formulation in format.cpp
+/// computes exactly, so it is built from exponent bits and integers, and
+/// scaling by 2^±frac is a multiply. Both round correctly, so results are
+/// bit-identical for every value, NaN payloads included. Other formats
+/// resolve to the ldexp formulation itself.
+class Quantizer {
+ public:
+  explicit Quantizer(const Format& f)
+      : frac_(f.frac_bits()),
+        round_(f.quant == Quant::kRound),
+        saturate_(f.ovf == Overflow::kSaturate),
+        exact_(f.wl >= 1 && f.wl <= 1023 && f.iwl <= 1023 && frac_ >= -1022 &&
+               frac_ <= 1022) {
+    if (!exact_) {
+      resolve_ldexp(f);
+      return;
+    }
+    const int mag = f.wl - (f.is_signed ? 1 : 0);
+    scale_ = pow2(frac_);
+    inv_ = pow2(-frac_);
+    // 2^mag - 1 rounds to 2^mag above 53 bits, as it does in max_value().
+    hi_ = mag <= 53 ? static_cast<double>((std::uint64_t{1} << mag) - 1) : pow2(mag);
+    lo_ = f.is_signed ? -pow2(f.wl - 1) : 0.0;
+    span_ = pow2(f.wl);
+  }
+
+  double operator()(double v) const {
+    if (!exact_) [[unlikely]] return via_ldexp(v);
+    return fold(round_ ? std::round(v * scale_) : std::floor(v * scale_)) * inv_;
+  }
+
+ private:
+  static double pow2(int e) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);
+  }
+  double fold(double m) const {  // overflow handling of a rounded mantissa
+    if (m > hi_ || m < lo_) {
+      if (saturate_) return m > hi_ ? hi_ : lo_;
+      m = std::fmod(m - lo_, span_);  // two's-complement wraparound
+      if (m < 0) m += span_;
+      m += lo_;
+    }
+    return m;
+  }
+  void resolve_ldexp(const Format& f);
+  double via_ldexp(double v) const;
+
+  double scale_ = 0.0, inv_ = 0.0, hi_ = 0.0, lo_ = 0.0, span_ = 0.0;
+  int frac_;
+  bool round_, saturate_, exact_;
+};
+
 /// Quantize `v` into format `f` (rounding, then overflow handling).
-double quantize(double v, const Format& f);
+inline double quantize(double v, const Format& f) { return Quantizer(f)(v); }
 
 /// True when `v` is exactly representable in `f`.
 bool representable(double v, const Format& f);

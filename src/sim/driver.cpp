@@ -16,54 +16,11 @@ using Kind = Image::Kind;
 
 namespace {
 
-// fixpt::quantize with the Format-derived constants hoisted out of the lane
-// loop. fixpt::quantize recomputes its scale and clamp bounds from the Format
-// on every call, which dominates cast/commit-heavy tapes; here they are
-// computed once per instruction. Scaling by an exact power of two and the
-// identical round/floor + clamp sequence keeps every lane bit-identical to
-// the scalar path (clamping an in-range mantissa is a no-op, and min/max
-// propagate NaN exactly like the original range test). The two's-complement
-// wrap case keeps the library call — it needs fmod and is rare in practice.
-struct QuantSpec {
-  double scale, inv_scale, hi, lo;
-  bool round, saturate;
-  explicit QuantSpec(const fixpt::Format& f)
-      : scale(std::ldexp(1.0, f.frac_bits())),
-        inv_scale(std::ldexp(1.0, -f.frac_bits())),
-        hi(std::ldexp(f.max_value(), f.frac_bits())),
-        lo(std::ldexp(f.min_value(), f.frac_bits())),
-        round(f.quant == fixpt::Quant::kRound),
-        saturate(f.ovf == fixpt::Overflow::kSaturate) {}
-};
-
-inline double quantize_one(double v, const QuantSpec& q,
-                           const fixpt::Format& fmt) {
-  if (!q.saturate) return fixpt::quantize(v, fmt);
-  double m = q.round ? std::round(v * q.scale) : std::floor(v * q.scale);
-  m = std::min(std::max(m, q.lo), q.hi);
-  return m * q.inv_scale;
-}
-
+// One resolved quantizer per instruction, applied across the lane vector.
 void quantize_lanes(double* d, const double* a, unsigned L,
                     const fixpt::Format& fmt) {
-  const QuantSpec q(fmt);
-  if (!q.saturate) {
-    for (unsigned l = 0; l < L; ++l) d[l] = fixpt::quantize(a[l], fmt);
-    return;
-  }
-  if (q.round) {
-    for (unsigned l = 0; l < L; ++l) {
-      double m = std::round(a[l] * q.scale);
-      m = std::min(std::max(m, q.lo), q.hi);
-      d[l] = m * q.inv_scale;
-    }
-  } else {
-    for (unsigned l = 0; l < L; ++l) {
-      double m = std::floor(a[l] * q.scale);
-      m = std::min(std::max(m, q.lo), q.hi);
-      d[l] = m * q.inv_scale;
-    }
-  }
+  const fixpt::Quantizer q(fmt);
+  for (unsigned l = 0; l < L; ++l) d[l] = q(a[l]);
 }
 
 // The SoA tape kernel: each instruction runs over the full lane vector —
@@ -269,14 +226,11 @@ void LaneDriver<W>::commit_sfg(std::int32_t id, Group g) {
     if constexpr (W == 1) {
       dst[0] = cm.has_fmt ? fixpt::quantize(src[0], cm.fmt) : src[0];
     } else if (g.size() == L) {
-      if (cm.has_fmt) {
-        quantize_lanes(dst, src, L, cm.fmt);
-      } else {
-        std::copy_n(src, L, dst);
-      }
+      if (cm.has_fmt) quantize_lanes(dst, src, L, cm.fmt);
+      else std::copy_n(src, L, dst);
     } else if (cm.has_fmt) {
-      const QuantSpec q(cm.fmt);
-      for (const unsigned l : g) dst[l] = quantize_one(src[l], q, cm.fmt);
+      const fixpt::Quantizer q(cm.fmt);
+      for (const unsigned l : g) dst[l] = q(src[l]);
     } else {
       for (const unsigned l : g) dst[l] = src[l];
     }

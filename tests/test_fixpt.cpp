@@ -1,5 +1,11 @@
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -272,6 +278,100 @@ TEST_P(QuantErrorBound, ErrorBelowOneLsb) {
 
 INSTANTIATE_TEST_SUITE_P(Wordlengths, QuantErrorBound,
                          ::testing::Values(6, 8, 10, 14, 18, 26));
+
+// quantize is bit-identical to the ldexp formulation it replaced, kept here
+// verbatim as the reference: compared as bit patterns (so -0.0, NaN signs
+// and payloads count), over every mode, signedness, wl 1..70, iwl from
+// below zero to beyond wl, plus formats off the Quantizer's exact domain.
+double quantize_ldexp_reference(double v, const Format& f) {
+  const double scaled = std::ldexp(v, f.frac_bits());
+  double mant = (f.quant == Quant::kRound) ? std::round(scaled)
+                                           : std::floor(scaled);
+  const double hi = std::ldexp(f.max_value(), f.frac_bits());
+  const double lo = std::ldexp(f.min_value(), f.frac_bits());
+  if (mant > hi || mant < lo) {
+    if (f.ovf == Overflow::kSaturate) {
+      mant = (mant > hi) ? hi : lo;
+    } else {
+      const double span = std::ldexp(1.0, f.wl);
+      mant = std::fmod(mant - lo, span);
+      if (mant < 0) mant += span;
+      mant += lo;
+    }
+  }
+  return std::ldexp(mant, -f.frac_bits());
+}
+
+class QuantizerBitIdentity
+    : public ::testing::TestWithParam<std::tuple<Quant, Overflow>> {};
+
+TEST_P(QuantizerBitIdentity, MatchesLdexpReference) {
+  const auto [quant, ovf] = GetParam();
+  std::vector<Format> formats;
+  for (const bool s : {false, true})
+    for (int wl = 1; wl <= 70; ++wl)
+      for (int iwl = -wl - 4; iwl <= wl + 4; ++iwl)
+        formats.push_back(Format{wl, iwl, s, quant, ovf});
+  // Off the exact domain (and on its edges): wl < 1 or > 1023, scale
+  // factors 2^±frac or bounds 2^iwl that are subnormal or overflow.
+  for (const bool s : {false, true})
+    for (const auto& [wl, iwl] : std::vector<std::pair<int, int>>{
+             {0, 0}, {0, -3}, {-2, 1}, {1023, 0}, {1024, 0}, {1025, 1000},
+             {1100, 50}, {2000, -10}, {8, 1023}, {8, 1024}, {8, 1030},
+             {8, -1021}, {8, -1022}, {8, -1023}, {1, -1021}, {1, -1022},
+             {1, -1050}, {1, 1022}, {1, 1023}, {2, 1023}, {1024, 500},
+             {1025, 600}, {64, -1000}, {60, 1080}, {4, -1017}, {4, -1018},
+             {4, 1026}, {4, 1027}, {53, -969}, {53, -970}, {40, -1100}})
+      formats.push_back(Format{wl, iwl, s, quant, ovf});
+
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  const auto dbl = [](std::uint64_t u) { return std::bit_cast<double>(u); };
+  const double specials[] = {
+      0.0, -0.0, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      dbl(0x7ff8'0000'dead'beefULL), dbl(0xfff4'0000'0000'1234ULL),  // payloads
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), dbl(0x000f'ffff'ffff'ffffULL),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), 0.5, -0.5, 1.5, -2.5, 1e300, -1e300};
+  std::mt19937_64 rng(static_cast<unsigned>(quant) * 2 + static_cast<unsigned>(ovf));
+  std::size_t checked = 0;
+  for (const Format& f : formats) {
+    std::vector<double> vs(std::begin(specials), std::end(specials));
+    // Values near the format's grid and range: ties, bounds, just outside.
+    const double lsb = f.lsb(), hi = f.max_value(), lo = f.min_value();
+    for (const double v : {lsb / 2, -lsb / 2, lsb * 1.5, hi, lo, hi + lsb, lo - lsb,
+                           hi + lsb / 2, lo - lsb / 2, hi * 3, lo * 3 - lsb})
+      vs.push_back(v);
+    const double a = std::min(lo, -hi) * 2.5 - lsb, b = hi * 2.5 + lsb;
+    if (std::isfinite(b - a) && a < b) {
+      std::uniform_real_distribution<double> near(a, b);
+      for (int i = 0; i < 24; ++i) vs.push_back(near(rng));
+    }
+    for (int i = 0; i < 24; ++i) vs.push_back(dbl(rng()));  // any bit pattern
+    for (const double v : vs) {
+      const double want = quantize_ldexp_reference(v, f);
+      const double got = quantize(v, f);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << f.to_string() << " v=" << std::hexfloat << v << " got " << got
+          << " (0x" << std::hex << bits(got) << ") want " << want << " (0x"
+          << bits(want) << ")";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 200000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, QuantizerBitIdentity,
+    ::testing::Combine(::testing::Values(Quant::kTruncate, Quant::kRound),
+                       ::testing::Values(Overflow::kSaturate, Overflow::kWrap)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == Quant::kRound ? "rnd" : "trn") +
+             (std::get<1>(info.param) == Overflow::kSaturate ? "_sat" : "_wrap");
+    });
 
 // BitVector arithmetic agrees with int64 arithmetic for widths <= 32.
 class BitVectorArithProperty : public ::testing::TestWithParam<int> {};

@@ -152,9 +152,10 @@ class Parser {
   }
 
   /// Parses "( params ) { body }" or "( params ) ;" with g.name/g.line
-  /// already set and tok_ at the '('. Returns false when the construct is
-  /// garbage (or truncated) and the caller should skip it.
-  bool parse_group_after_name(AstGroup& g) {
+  /// already set and tok_ at the '('; `depth` counts g and its enclosing
+  /// groups. Returns false when the construct is garbage (or truncated)
+  /// and the caller should skip it.
+  bool parse_group_after_name(AstGroup& g, int depth = 1) {
     if (!at_punct('(')) {
       malformed("expected '(' after '" + g.name + "'");
       return false;
@@ -176,12 +177,12 @@ class Parser {
       return false;
     }
     advance();
-    return parse_body(g);
+    return parse_body(g, depth);
   }
 
   /// Body of a group whose '{' was already consumed: attributes
   /// ("name : value ;") and child groups, until the matching '}'.
-  bool parse_body(AstGroup& g) {
+  bool parse_body(AstGroup& g, int depth) {
     while (!at_punct('}')) {
       if (truncated("group '" + g.name + "'")) return false;
       if (tok_.kind != Token::kWord) {
@@ -208,10 +209,16 @@ class Parser {
           g.attrs.emplace_back(word, value);
         if (at_punct(';')) advance();
       } else if (at_punct('(')) {
+        if (depth == kMaxGroupDepth) {  // bound the recursion: stop parsing
+          de_->error("LIB-005", "liberty", "line " + std::to_string(line) +
+                     ": groups nested deeper than " + std::to_string(kMaxGroupDepth));
+          while (tok_.kind != Token::kEof) advance();
+          return false;
+        }
         AstGroup child;
         child.name = word;
         child.line = line;
-        if (!parse_group_after_name(child)) return false;
+        if (!parse_group_after_name(child, depth + 1)) return false;
         g.children.push_back(std::move(child));
       } else {
         malformed("expected ':' or '(' after '" + word + "'");
@@ -221,6 +228,7 @@ class Parser {
     return true;
   }
 
+  static constexpr int kMaxGroupDepth = 64;
   Lexer lex_;
   diag::DiagEngine* de_;
   Token tok_;

@@ -15,6 +15,7 @@
 //   LIB-002  duplicate cell definition (first definition wins)
 //   LIB-003  malformed attribute (missing value, non-numeric number)
 //   LIB-004  GateType with no usable library cell (missing cell or pin)
+//   LIB-005  groups nested deeper than 64 levels (parsing stops there)
 //
 // and the partial library parsed so far is still returned, so one bad
 // cell does not take down a whole characterization run.
@@ -86,8 +87,8 @@ struct LibertyLibrary {
   const LibertyCell* find_cell(std::string_view cell_name) const;
 };
 
-/// Parse `text`. Never throws; reports LIB-001..003 on `de` and returns
-/// whatever parsed cleanly.
+/// Parse `text`. Never throws; reports LIB-001..003 and LIB-005 on `de`
+/// and returns whatever parsed cleanly.
 LibertyLibrary parse_liberty(std::string_view text, diag::DiagEngine& de);
 
 /// The committed asicpp_sc_hd library source, embedded at build time from

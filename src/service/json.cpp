@@ -155,7 +155,7 @@ class Parser {
 
   bool parse_document(Json* out) {
     skip_ws();
-    if (!parse_value(out)) return false;
+    if (!parse_value(out, 0)) return false;
     skip_ws();
     if (pos_ != s_.size()) return fail("trailing content");
     return true;
@@ -175,11 +175,15 @@ class Parser {
       ++pos_;
   }
 
-  bool parse_value(Json* out) {
+  // `depth` counts the enclosing arrays and objects; bounding it keeps
+  // hostile input from exhausting the stack.
+  bool parse_value(Json* out, int depth) {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if ((c == '{' || c == '[') && depth == Json::kMaxDepth)
+      return fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+    if (c == '{') return parse_object(out, depth + 1);
+    if (c == '[') return parse_array(out, depth + 1);
     if (c == '"') {
       std::string str;
       if (!parse_string(&str)) return false;
@@ -279,7 +283,7 @@ class Parser {
     return fail("unterminated string");
   }
 
-  bool parse_array(Json* out) {
+  bool parse_array(Json* out, int depth) {
     *out = Json::array();
     ++pos_;  // '['
     skip_ws();
@@ -290,7 +294,7 @@ class Parser {
     while (true) {
       Json v;
       skip_ws();
-      if (!parse_value(&v)) return false;
+      if (!parse_value(&v, depth)) return false;
       out->push(std::move(v));
       skip_ws();
       if (pos_ >= s_.size()) return fail("unterminated array");
@@ -306,7 +310,7 @@ class Parser {
     }
   }
 
-  bool parse_object(Json* out) {
+  bool parse_object(Json* out, int depth) {
     *out = Json::object();
     ++pos_;  // '{'
     skip_ws();
@@ -325,7 +329,7 @@ class Parser {
       ++pos_;
       skip_ws();
       Json v;
-      if (!parse_value(&v)) return false;
+      if (!parse_value(&v, depth)) return false;
       out->set(std::move(key), std::move(v));
       skip_ws();
       if (pos_ >= s_.size()) return fail("unterminated object");

@@ -62,8 +62,10 @@ class Json {
   /// round-trip bit-exactly).
   std::string dump() const;
 
+  /// Deepest array/object nesting parse() accepts (the protocol nests 3).
+  static constexpr int kMaxDepth = 64;
   /// Parse a complete JSON document. Returns false with a one-line `err`
-  /// (position + reason) on malformed input.
+  /// (position + reason) on malformed or deeper than kMaxDepth input.
   static bool parse(const std::string& text, Json* out, std::string* err);
 
  private:

@@ -95,6 +95,25 @@ TEST(LibertyNegative, EmptySourceYieldsLib001) {
   EXPECT_TRUE(de.has("LIB-001")) << de.str();
 }
 
+TEST(LibertyNegative, DeepNestingYieldsLib005) {
+  // 200,000 nested groups used to overflow the reader's stack.
+  const auto nested = [](int depth) {
+    std::string s = "library (l) {";
+    for (int i = 1; i < depth; ++i) s += " g (x) {";
+    return s + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  diag::DiagEngine deep;
+  const LibertyLibrary lib = parse_liberty(nested(200000), deep);  // must not throw
+  EXPECT_TRUE(deep.has("LIB-005"));
+  EXPECT_EQ(lib.name, "");  // parsing stopped inside the library group
+  diag::DiagEngine ok;
+  EXPECT_EQ(parse_liberty(nested(64), ok).name, "l");
+  EXPECT_TRUE(ok.empty()) << ok.str();
+  diag::DiagEngine over;
+  parse_liberty(nested(65), over);
+  EXPECT_TRUE(over.has("LIB-005")) << over.str();
+}
+
 TEST(LibertyNegative, DuplicateCellYieldsLib002FirstWins) {
   diag::DiagEngine de;
   const LibertyLibrary lib = parse_liberty(

@@ -94,6 +94,23 @@ TEST(Json, ParseErrorsArePositioned) {
   EXPECT_FALSE(Json::parse("{\"a\":1} trailing", &j, &err));
 }
 
+TEST(Json, NestingBeyondMaxDepthIsAParseError) {
+  const auto arrays = [](int d) { return std::string(d, '[') + std::string(d, ']'); };
+  const auto objects = [](int d) {
+    std::string s;
+    for (int i = 0; i < d; ++i) s += "{\"a\":";
+    return s + "1" + std::string(d, '}');
+  };
+  Json j;
+  std::string err;
+  EXPECT_TRUE(Json::parse(arrays(Json::kMaxDepth), &j, &err)) << err;
+  EXPECT_TRUE(Json::parse(objects(Json::kMaxDepth), &j, &err)) << err;
+  EXPECT_FALSE(Json::parse(arrays(Json::kMaxDepth + 1), &j, &err));
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+  EXPECT_FALSE(Json::parse(objects(Json::kMaxDepth + 1), &j, &err));
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+}
+
 TEST(Json, StringEscapesRoundTrip) {
   Json j = Json::object();
   j.set("s", Json::string("a\"b\\c\nd\te"));
@@ -125,6 +142,17 @@ TEST(Service, MalformedAndUnknownRequestsFailSoftly) {
   r = rpc(svc, R"({"op":"run","session":"s99","cycles":1})");
   EXPECT_FALSE(r.get_bool("ok", true));
   EXPECT_EQ(svc.session_count(), 0u);
+}
+
+TEST(Service, DeeplyNestedLineFailsSoftlyAndServiceSurvives) {
+  // One line of 10^6 '[' used to overflow the parser's stack and take the
+  // daemon, and every session in it, down.
+  Service svc;
+  const Json r = rpc(svc, std::string(1000000, '['));
+  EXPECT_FALSE(r.get_bool("ok", true));
+  EXPECT_NE(r.get_string("error").find("nesting deeper than"), std::string::npos)
+      << r.dump();
+  ok_rpc(svc, R"({"op":"ping"})");
 }
 
 TEST(Service, QuickstartPokeRunTrace) {

@@ -190,8 +190,9 @@ TEST(StaReport, EndpointsSortedWorstFirst) {
   const TimingReport rep = analyze_timing(nl);
   for (std::size_t i = 1; i < rep.endpoints.size(); ++i)
     EXPECT_GE(rep.endpoints[i - 1].arrival, rep.endpoints[i].arrival);
-  if (!rep.endpoints.empty())
+  if (!rep.endpoints.empty()) {
     EXPECT_DOUBLE_EQ(rep.endpoints.front().arrival, rep.critical_delay);
+  }
 }
 
 TEST(StaReport, FormatCriticalPathNamesCells) {

@@ -41,8 +41,8 @@ struct Fig6System {
   Sig in2 = Sig::input("in2", kF);
   Sfg s2{"s2"};
   SfgComponent c2{"comp2", s2};
-  UntimedComponent c3{"comp3", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0] + Fixed(1.0)};
+  UntimedComponent c3{"comp3", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0] + Fixed(1.0));
   }};
 
   Fig6System() {
@@ -124,8 +124,8 @@ struct Fig6OptSystem {
   Sig in2 = Sig::input("in2", kF);
   Sfg s2{"s2"};
   SfgComponent c2{"comp2", s2};
-  UntimedComponent c3{"comp3", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0] + Fixed(1.0)};
+  UntimedComponent c3{"comp3", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0] + Fixed(1.0));
   }};
 
   Fig6OptSystem() {

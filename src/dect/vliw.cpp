@@ -180,16 +180,14 @@ DectTransceiver::DectTransceiver(const VliwParams& p)
     im.table_comps.push_back(std::move(rc));
   } else {
     auto rom = std::make_unique<UntimedComponent>(
-        "irom", [this](const std::vector<Fixed>& in) {
+        "irom", [this](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
           const auto a = static_cast<std::size_t>(in[0].value()) %
                          impl_->program.size();
           const bool nop = in[1].value() != 0.0;
-          std::vector<Fixed> out;
           for (int d = 0; d < params_.num_datapaths; ++d)
             out.emplace_back(nop ? 0.0
                                  : static_cast<double>(
                                        impl_->program[a][static_cast<std::size_t>(d)]));
-          return out;
         });
     rom->bind_input(sched_.net("rom_addr"));
     rom->bind_input(sched_.net("rom_nop"));
@@ -328,14 +326,13 @@ DectTransceiver::DectTransceiver(const VliwParams& p)
   for (int r = 0; !p.structural_tables && r < p.num_rams; ++r) {
     const std::string dname = "dp" + std::to_string(r);
     auto ram = std::make_unique<UntimedComponent>(
-        dname + "_ram", [this, r](const std::vector<Fixed>& in) {
+        dname + "_ram", [this, r](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
           auto& mem = impl_->ram_storage[static_cast<std::size_t>(r)];
           const bool we = in[0].value() != 0.0;
           const auto a = static_cast<std::size_t>(in[1].value()) % mem.size();
-          std::vector<Fixed> out{Fixed(mem[a])};
+          out.emplace_back(mem[a]);
           if (we) mem[a] = fixpt::quantize(in[2].value(), kData);
           ++impl_->ram_hits[static_cast<std::size_t>(r)];
-          return out;
         });
     ram->bind_input(sched_.net(dname + "_we"));
     ram->bind_input(sched_.net(dname + "_addr"));

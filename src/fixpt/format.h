@@ -86,6 +86,16 @@ class Quantizer {
     return fold(round_ ? std::round(v * scale_) : std::floor(v * scale_)) * inv_;
   }
 
+  /// The resolved constants, for emitters that write this quantizer out as
+  /// code (opt::cpp_quantize_expr). Meaningful only when exact(): 2^frac,
+  /// 2^-frac, the rounded mantissa's bounds and its wraparound span.
+  bool exact() const { return exact_; }
+  double scale() const { return scale_; }
+  double inv() const { return inv_; }
+  double hi() const { return hi_; }
+  double lo() const { return lo_; }
+  double span() const { return span_; }
+
  private:
   static double pow2(int e) {
     return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);

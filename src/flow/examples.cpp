@@ -32,8 +32,8 @@ Example build_fig6() {
   sfg::Sig in2 = sfg::Sig::input("in2", kF);
   sfg::Sfg s2("s2");
   sched::SfgComponent c2("comp2", s2);
-  sched::UntimedComponent c3("comp3", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0] + Fixed(1.0)};
+  sched::UntimedComponent c3("comp3", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0] + Fixed(1.0));
   });
   s1.in(in1).out("out1", state.sig()).assign(state, (in1 * 0.5).cast(kF));
   s2.in(in2).out("out2", in2 * 2.0);

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "ckpt/snapshot.h"
 #include "par/pool.h"
@@ -86,7 +87,6 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
                              const opt::PassOptions& passes,
                              const JitOptions& jopts) {
   JitSystem js(CS::compile(sched, passes));
-  js.ex_mu_ = std::make_shared<std::mutex>();
 
   diag::DiagEngine& de =
       jopts.diagnostics != nullptr ? *jopts.diagnostics : js.cs_.diagnostics();
@@ -185,16 +185,15 @@ JitState JitSystem::make_state() {
 
 int JitSystem::fire_untimed_cb(void* host, int comp) {
   auto* self = static_cast<JitSystem*>(host);
-  {
-    std::lock_guard<std::mutex> lk(*self->ex_mu_);
-    if (self->untimed_ex_ != nullptr) return -1;
-  }
+  UntimedFault& f = *self->fault_;
+  if (f.raised.load()) return -1;
   try {
     self->cs_.invoke_untimed(static_cast<std::size_t>(comp), 0);
     return 1;
   } catch (...) {
-    std::lock_guard<std::mutex> lk(*self->ex_mu_);
-    if (self->untimed_ex_ == nullptr) self->untimed_ex_ = std::current_exception();
+    std::lock_guard<std::mutex> lk(f.mu);
+    if (f.ex == nullptr) f.ex = std::current_exception();
+    f.raised.store(true);
     return -1;
   }
 }
@@ -215,9 +214,9 @@ void JitSystem::native_cycle() {
     ret = fn_cycle_(&st, walk ? 1 : 0);
   }
 
-  if (untimed_ex_ != nullptr) {
-    std::exception_ptr e = untimed_ex_;
-    untimed_ex_ = nullptr;
+  if (fault_->raised.load()) {
+    std::exception_ptr e = std::exchange(fault_->ex, nullptr);
+    fault_->raised.store(false);
     std::rethrow_exception(e);
   }
   if (st.deadlock == 2) cs_.unknown_opcode(static_cast<std::size_t>(st.dl_comp), st.dl_op, 0);

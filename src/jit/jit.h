@@ -27,7 +27,9 @@
 //   JIT-004 stale or corrupt cache entry discarded (recompiled)
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -143,8 +145,16 @@ class JitSystem {
   int (*fn_try_slot_)(sim::JitState*, int) = nullptr;
   int (*fn_finish_)(sim::JitState*) = nullptr;
 
-  std::exception_ptr untimed_ex_;
-  std::shared_ptr<std::mutex> ex_mu_;  ///< guards untimed_ex_ under threads
+  // The first exception an untimed closure threw inside the native kernel,
+  // rethrown once the cycle returns. A firing reads only `raised`; the
+  // mutex is taken to record an exception, which under the level-parallel
+  // walk may race with one from another pool lane.
+  struct UntimedFault {
+    std::atomic<bool> raised{false};
+    std::mutex mu;
+    std::exception_ptr ex;
+  };
+  std::shared_ptr<UntimedFault> fault_ = std::make_shared<UntimedFault>();
 };
 
 /// Resolve the artifact-store directory per JitOptions::cache_dir rules —

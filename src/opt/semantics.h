@@ -60,30 +60,67 @@ inline double apply_op_value(sfg::Op op, double a, double b, double c,
 }
 
 /// Double literal emitted as hexfloat so it round-trips exactly through
-/// the host compiler.
+/// the host compiler (infinities and NaNs as GCC/Clang builtins; a NaN
+/// keeps its sign, not its payload).
 inline std::string cpp_double_lit(double v) {
+  if (std::isinf(v)) return v < 0 ? "-__builtin_inf()" : "__builtin_inf()";
+  if (std::isnan(v)) return std::signbit(v) ? "-__builtin_nan(\"\")" : "__builtin_nan(\"\")";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", v);
   return std::string(buf);
 }
 
-/// C++ expression text quantizing `a` into `fmt` via the generated unit's
-/// `q(...)` helper — the textual form of fixpt::quantize. Used for kCast,
-/// net-to-input loads, and register commits.
+/// `fmt`'s round and saturate flags as the generated unit's int arguments.
+inline std::string cpp_quant_modes(const fixpt::Format& fmt) {
+  return std::string(fmt.quant == fixpt::Quant::kRound ? "1" : "0") + ", " +
+         (fmt.ovf == fixpt::Overflow::kSaturate ? "1" : "0");
+}
+
+/// Name of the generated unit's quantize helper for `fmt`, e.g.
+/// `qc_s16_m3_rw`: signedness and wl, iwl (`m` for minus), round or
+/// truncate, saturate or wrap.
+inline std::string cpp_quantizer_name(const fixpt::Format& fmt) {
+  const auto num = [](int v) {
+    return v < 0 ? "m" + std::to_string(-v) : std::to_string(v);
+  };
+  return std::string("qc_") + (fmt.is_signed ? "s" : "u") + num(fmt.wl) + "_" +
+         num(fmt.iwl) + "_" + (fmt.quant == fixpt::Quant::kRound ? "r" : "t") +
+         (fmt.ovf == fixpt::Overflow::kSaturate ? "s" : "w");
+}
+
+/// Definition of that helper for a format in the Quantizer's exact
+/// domain: an out-of-line function applying the generated unit's `q()` to
+/// the resolved constants 2^frac, 2^-frac, mantissa bounds and wrap span
+/// (hexfloat literals), then the round and saturate flags.
+inline std::string cpp_quantizer_def(const fixpt::Format& fmt) {
+  const fixpt::Quantizer qz(fmt);
+  return "__attribute__((noinline)) static double " + cpp_quantizer_name(fmt) +
+         "(double v) {\n  return q(v, QConst{" + cpp_double_lit(qz.scale()) + ", " +
+         cpp_double_lit(qz.inv()) + ", " + cpp_double_lit(qz.hi()) + ", " +
+         cpp_double_lit(qz.lo()) + ", " + cpp_double_lit(qz.span()) + ", " +
+         cpp_quant_modes(fmt) + "});\n}\n";
+}
+
+/// C++ expression text quantizing `a` into `fmt` — the textual form of
+/// fixpt::quantize, used for kCast, net-to-input loads and register
+/// commits. A format in the Quantizer's exact domain calls its helper in
+/// the generated unit (cpp_quantizer_def); any other format calls
+/// `q_ldexp(...)`, the ldexp formulation.
 inline std::string cpp_quantize_expr(const std::string& a,
                                      const fixpt::Format& fmt) {
-  return "q(" + a + ", " + std::to_string(fmt.frac_bits()) + ", " +
+  if (fixpt::Quantizer(fmt).exact()) return cpp_quantizer_name(fmt) + "(" + a + ")";
+  return "q_ldexp(" + a + ", " + std::to_string(fmt.frac_bits()) + ", " +
          cpp_double_lit(fmt.max_value()) + ", " + cpp_double_lit(fmt.min_value()) +
-         ", " + std::string(fmt.quant == fixpt::Quant::kRound ? "1" : "0") +
-         ", " + std::string(fmt.ovf == fixpt::Overflow::kSaturate ? "1" : "0") +
-         ", " + cpp_double_lit(std::ldexp(1.0, fmt.wl)) + ")";
+         ", " + cpp_quant_modes(fmt) + ", " + cpp_double_lit(std::ldexp(1.0, fmt.wl)) +
+         ")";
 }
 
 /// C++ expression text computing `apply_op_value(op, a, b, c, fmt)` inside
 /// the generated C++ unit (sim/cppunit.h), which defines `ll(double)`
-/// (rounded integer interpretation) and `q(...)` (quantize); this helper's
-/// output references exactly those names, so the generated code and the
-/// in-process engines share one semantics definition.
+/// (rounded integer interpretation) and the quantize helpers of
+/// cpp_quantize_expr; this helper's output references exactly those
+/// names, so the generated code and the in-process engines share one
+/// semantics definition.
 inline std::string cpp_op_expr(sfg::Op op, const std::string& a,
                                const std::string& b, const std::string& c,
                                const fixpt::Format& fmt) {

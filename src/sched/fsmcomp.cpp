@@ -215,7 +215,7 @@ Component::StaticDeps SfgComponent::static_deps() const {
 // --- DispatchComponent ---
 
 void DispatchComponent::add_instruction(long opcode, sfg::Sfg& s) {
-  if (!table_.emplace(opcode, &s).second)
+  if (!table_.add(opcode, &s))
     throw std::logic_error("add_instruction: duplicate opcode " + std::to_string(opcode));
 }
 
@@ -234,8 +234,7 @@ bool DispatchComponent::try_fire(std::uint64_t stamp) {
   if (selected_ == nullptr) {
     if (!instr_net_->has_token()) return false;
     const long opcode = std::lround(instr_net_->token().value());
-    const auto it = table_.find(opcode);
-    selected_ = (it != table_.end()) ? it->second : default_;
+    selected_ = table_.decode(opcode);
     if (selected_ == nullptr)
       throw std::logic_error("DispatchComponent '" + name() + "': unknown opcode " +
                              std::to_string(opcode) + " and no default");
@@ -286,25 +285,16 @@ Component::StaticDeps DispatchComponent::static_deps() const {
   // after it. Unioned over the whole instruction table plus the default.
   d.has_decode = true;
   d.decode_requires.push_back(instr_net_);
-  const auto add = [&](const sfg::Sfg& s) {
-    static_requires(s, d.fire_requires);
-    static_produces(s, /*needs_inputs=*/true, d.fire_produces);
-    static_produces(s, /*needs_inputs=*/false, d.decode_produces);
-  };
-  for (const auto& [opcode, s] : table_) {
-    (void)opcode;
-    add(*s);
-  }
-  if (default_ != nullptr) add(*default_);
+  table_.for_each([&](const sfg::Sfg* s) {
+    static_requires(*s, d.fire_requires);
+    static_produces(*s, /*needs_inputs=*/true, d.fire_produces);
+    static_produces(*s, /*needs_inputs=*/false, d.decode_produces);
+  });
   return d;
 }
 
 void DispatchComponent::collect_sfgs(std::vector<sfg::Sfg*>& out) const {
-  for (const auto& [opcode, s] : table_) {
-    (void)opcode;
-    out.push_back(s);
-  }
-  if (default_ != nullptr) out.push_back(default_);
+  table_.for_each([&](sfg::Sfg* s) { out.push_back(s); });
 }
 
 }  // namespace asicpp::sched

@@ -20,6 +20,7 @@
 #include "fsm/fsm.h"
 #include "sched/component.h"
 #include "sched/net.h"
+#include "sched/opcode_table.h"
 #include "sfg/sfg.h"
 #include "sfg/sig.h"
 
@@ -125,14 +126,20 @@ class SfgComponent : public TimedBase {
 /// Instruction-dispatched datapath: the token on the instruction net picks
 /// which SFG runs this cycle. Unlisted opcodes fall back to `set_default`
 /// (typically a "nop" that freezes the datapath state, as during hold).
+/// The token decodes as std::lround(value), so negative tokens and ties
+/// that round onto an unlisted opcode take the default too.
 class DispatchComponent : public TimedBase {
  public:
+  using Table = OpcodeTable<sfg::Sfg*>;
+
   DispatchComponent(std::string name, Net& instr_net)
       : TimedBase(std::move(name)), instr_net_(&instr_net) {}
 
-  /// Execute `s` when the instruction token equals `opcode`.
+  /// Execute `s` when the instruction token equals `opcode`. Throws
+  /// std::logic_error for a duplicate opcode, std::out_of_range for one
+  /// outside [0, Table::kMaxOpcode].
   void add_instruction(long opcode, sfg::Sfg& s);
-  void set_default(sfg::Sfg& s) { default_ = &s; }
+  void set_default(sfg::Sfg& s) { table_.set_default(&s); }
 
   std::size_t num_instructions() const { return table_.size(); }
 
@@ -148,13 +155,12 @@ class DispatchComponent : public TimedBase {
   void collect_sfgs(std::vector<sfg::Sfg*>& out) const override;
 
   Net& instruction_net() const { return *instr_net_; }
-  const std::map<long, sfg::Sfg*>& instruction_table() const { return table_; }
-  sfg::Sfg* default_instruction() const { return default_; }
+  const Table& instruction_table() const { return table_; }
+  sfg::Sfg* default_instruction() const { return table_.default_value(); }
 
  private:
   Net* instr_net_;
-  std::map<long, sfg::Sfg*> table_;
-  sfg::Sfg* default_ = nullptr;
+  Table table_{nullptr};
   sfg::Sfg* selected_ = nullptr;
   bool fired_ = false;
 };

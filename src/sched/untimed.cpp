@@ -11,19 +11,22 @@ bool UntimedComponent::try_fire(std::uint64_t) {
   for (const auto* n : ins_) {
     if (!n->has_token()) return false;
   }
-  std::vector<fixpt::Fixed> inputs;
-  inputs.reserve(ins_.size());
-  for (const auto* n : ins_) inputs.push_back(n->token());
-
-  const auto outputs = fn_(inputs);
-  if (outputs.size() != outs_.size())
-    throw std::logic_error("UntimedComponent '" + name() + "': produced " +
-                           std::to_string(outputs.size()) + " tokens for " +
-                           std::to_string(outs_.size()) + " output nets");
+  for (std::size_t i = 0; i < ins_.size(); ++i) in_[i] = ins_[i]->token();
+  const auto& outputs = invoke();
   for (std::size_t i = 0; i < outs_.size(); ++i) outs_[i]->put(outputs[i]);
   fired_ = true;
-  ++firings_;
   return true;
+}
+
+const std::vector<fixpt::Fixed>& UntimedComponent::invoke() {
+  out_.clear();
+  fn_(in_, out_);
+  if (out_.size() != outs_.size())
+    throw std::logic_error("UntimedComponent '" + name() + "': produced " +
+                           std::to_string(out_.size()) + " tokens for " +
+                           std::to_string(outs_.size()) + " output nets");
+  ++firings_;
+  return out_;
 }
 
 void UntimedComponent::save_state(ckpt::Writer& w) const {

@@ -22,16 +22,21 @@ namespace asicpp::sched {
 
 class UntimedComponent : public Component {
  public:
-  /// `fn(inputs)` receives one token per bound input net (binding order)
-  /// and returns one token per bound output net. State lives in the
-  /// closure (e.g. a RAM's storage).
-  using Behavior =
-      std::function<std::vector<fixpt::Fixed>(const std::vector<fixpt::Fixed>&)>;
+  /// `fn(in, out)` reads one token per bound input net (binding order)
+  /// and appends one token per bound output net to `out`, which arrives
+  /// empty. Both vectors belong to the component and keep their capacity
+  /// from one firing to the next, so a warm firing allocates nothing.
+  /// State lives in the closure (e.g. a RAM's storage).
+  using Behavior = std::function<void(const std::vector<fixpt::Fixed>& in,
+                                      std::vector<fixpt::Fixed>& out)>;
 
   UntimedComponent(std::string name, Behavior fn)
       : Component(std::move(name)), fn_(std::move(fn)) {}
 
-  void bind_input(Net& net) { ins_.push_back(&net); }
+  void bind_input(Net& net) {
+    ins_.push_back(&net);
+    in_.resize(ins_.size());
+  }
   void bind_output(Net& net) { outs_.push_back(&net); }
 
   void begin_cycle(std::uint64_t) override { fired_ = false; }
@@ -72,15 +77,20 @@ class UntimedComponent : public Component {
   /// Introspection / direct invocation for the compiled simulator.
   const std::vector<Net*>& input_nets() const { return ins_; }
   const std::vector<Net*>& output_nets() const { return outs_; }
-  std::vector<fixpt::Fixed> invoke(const std::vector<fixpt::Fixed>& inputs) {
-    ++firings_;
-    return fn_(inputs);
-  }
+  /// The input buffer invoke() passes to the closure: one token per bound
+  /// input net, filled by the caller.
+  std::vector<fixpt::Fixed>& inputs() { return in_; }
+  /// Run the closure on inputs() and return its outputs, one per bound
+  /// output net (valid until the next call). Throws std::logic_error when
+  /// the closure produced another number of tokens.
+  const std::vector<fixpt::Fixed>& invoke();
 
  private:
   Behavior fn_;
   std::vector<Net*> ins_;
   std::vector<Net*> outs_;
+  std::vector<fixpt::Fixed> in_;
+  std::vector<fixpt::Fixed> out_;
   bool fired_ = false;
   std::size_t firings_ = 0;
 };

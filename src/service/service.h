@@ -42,6 +42,10 @@
 //
 // Errors come back as {"ok":false,"error":"one line"} — the service never
 // throws out of handle_line, and a failed request never kills a session.
+// The asicpp-serve daemon frames lines with service::LineBuffer
+// (service/linebuf.h): a line longer than kMaxRequestLine (1 MiB) is
+// answered {"ok":false,"code":"SVC-001","error":...} and only that
+// connection is closed.
 #pragma once
 
 #include <atomic>

@@ -286,13 +286,9 @@ bool LaneDriver<W>::any_blocked() const {
 template <unsigned W>
 void LaneDriver<W>::invoke_untimed(std::size_t ci, unsigned lane) {
   const Comp& c = img_->comps[ci];
-  std::vector<fixpt::Fixed> in;
-  in.reserve(c.in_nets.size());
-  for (const auto n : c.in_nets) in.emplace_back(net_values(n)[lane]);
-  const auto out = c.untimed->invoke(in);
-  if (out.size() != c.out_nets.size())
-    throw std::logic_error(std::string(engine_) + " '" + c.name +
-                           "': untimed arity mismatch");
+  std::vector<fixpt::Fixed>& in = c.untimed->inputs();
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = net_values(c.in_nets[i])[lane];
+  const std::vector<fixpt::Fixed>& out = c.untimed->invoke();
   for (std::size_t i = 0; i < out.size(); ++i) {
     net_values(c.out_nets[i])[lane] = out[i].value();
     tokens(c.out_nets[i])[lane] = 1;
@@ -357,8 +353,7 @@ bool LaneDriver<W>::fire(std::size_t ci) {
           [&](unsigned l) { return fired[l] == 0 && sel[l] < 0 && itok[l] != 0; },
           [&](unsigned l) {
             const long opcode = std::lround(ival[l]);
-            const auto it = c.table.find(opcode);
-            const std::int32_t s = it != c.table.end() ? it->second : c.default_sfg;
+            const std::int32_t s = c.table.decode(opcode);
             if (s < 0) unknown_opcode(ci, opcode, l);
             return static_cast<std::uint64_t>(s);
           },
@@ -770,8 +765,7 @@ std::vector<std::int32_t> LaneDriver<W>::pending_outputs(std::size_t ci,
       if (sel_[k] >= 0) {
         pushes_of(sel_[k]);
       } else {
-        for (const auto& [_, id] : c.table) pushes_of(id);
-        if (c.default_sfg >= 0) pushes_of(c.default_sfg);
+        c.table.for_each(pushes_of);
       }
       break;
     case Kind::kUntimed:

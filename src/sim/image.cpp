@@ -224,10 +224,10 @@ void Image::Builder::build(const sched::CycleScheduler& sched) {
       comp.kind = Kind::kDispatch;
       std::unordered_map<sfg::Sfg*, std::int32_t> local;
       comp.instr_net = net_id(&d->instruction_net());
-      for (const auto& [opcode, g] : d->instruction_table())
-        comp.table.emplace(opcode, compile_sfg(*g, *d, local));
+      for (const auto& [opcode, g] : d->instruction_table().entries())
+        comp.table.add(opcode, compile_sfg(*g, *d, local));
       if (d->default_instruction() != nullptr)
-        comp.default_sfg = compile_sfg(*d->default_instruction(), *d, local);
+        comp.table.set_default(compile_sfg(*d->default_instruction(), *d, local));
     } else if (auto* u = dynamic_cast<sched::UntimedComponent*>(c)) {
       comp.kind = Kind::kUntimed;
       comp.untimed = u;
@@ -297,16 +297,11 @@ void Image::build_schedule() {
         break;
       case Kind::kDispatch: {
         std::vector<std::int32_t> dprod;
-        const auto each = [&](std::int32_t id) {
+        c.table.for_each([&](std::int32_t id) {
           sfg_needs(id, req);
           sfg_main_products(id, prod);
           sfg_pre_products(id, dprod);
-        };
-        for (const auto& [opcode, id] : c.table) {
-          (void)opcode;
-          each(id);
-        }
-        if (c.default_sfg >= 0) each(c.default_sfg);
+        });
         dedup(dprod);
         decode_idx = static_cast<int>(act.size());
         act.emplace_back(static_cast<std::int32_t>(i), true);
@@ -409,7 +404,7 @@ std::size_t Image::footprint_bytes() const {
     for (const auto& st : c.by_state)
       for (const auto& gt : st) bytes += gt.guard.capacity() * sizeof(Instr) + gt.sfgs.capacity() * 4;
     bytes += (c.in_nets.capacity() + c.out_nets.capacity()) * sizeof(std::int32_t);
-    bytes += c.table.size() * 24;
+    bytes += c.table.footprint_bytes();
   }
   return bytes;
 }

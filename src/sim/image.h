@@ -26,6 +26,7 @@
 #include "fixpt/format.h"
 #include "opt/options.h"
 #include "sched/cyclesched.h"
+#include "sched/opcode_table.h"
 #include "sched/untimed.h"
 #include "sim/tape.h"
 
@@ -72,8 +73,7 @@ struct Image {
     // kSfg / kDispatch
     std::int32_t solo_sfg = -1;
     std::int32_t instr_net = -1;
-    std::map<long, std::int32_t> table;
-    std::int32_t default_sfg = -1;
+    sched::OpcodeTable<std::int32_t> table{-1};  ///< opcode -> SFG id
     // kUntimed
     sched::UntimedComponent* untimed = nullptr;
     std::vector<std::int32_t> in_nets;

@@ -354,9 +354,8 @@ void System::build_comp(const CompSpec& c) {
   if (c.kind == CompKind::kUntimed) {
     const double gain = c.gain;
     auto u = std::make_unique<sched::UntimedComponent>(
-        nn, [gain, fmt](const std::vector<Fixed>& i) {
-          return std::vector<Fixed>{
-              fixpt::quantize(i[0].value() * gain + 0.25, fmt)};
+        nn, [gain, fmt](const std::vector<Fixed>& i, std::vector<Fixed>& o) {
+          o.push_back(fixpt::quantize(i[0].value() * gain + 0.25, fmt));
         });
     u->bind_input(sched_->net(spec_.net_name(c.inputs[0])));
     u->bind_output(sched_->net(nn));

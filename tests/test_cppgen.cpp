@@ -169,7 +169,7 @@ TEST(CppGen, ExternalDriveFrozenIntoGeneratedCode) {
 TEST(CppGen, UntimedRejected) {
   Clk clk;
   CycleScheduler sched(clk);
-  sched::UntimedComponent u("u", [](const std::vector<Fixed>& in) { return in; });
+  sched::UntimedComponent u("u", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) { out = in; });
   sched.add(u);
   CompiledSystem cs = CompiledSystem::compile(sched);
   std::ostringstream os;

@@ -207,8 +207,8 @@ TEST(QmEdge, SingleMintermSingleCube) {
 TEST(SchedEdge, UntimedArityMismatchThrows) {
   Clk clk;
   sched::CycleScheduler sched(clk);
-  sched::UntimedComponent bad("bad", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0], in[0]};  // two outputs for one net
+  sched::UntimedComponent bad("bad", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out = {in[0], in[0]};  // two outputs for one net
   });
   bad.bind_input(sched.net("i"));
   bad.bind_output(sched.net("o"));

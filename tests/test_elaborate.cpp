@@ -144,8 +144,8 @@ TEST(RtModel, PureUntimedAllowedStatefulRejected) {
   sched::SfgComponent comp("src", s);
   comp.bind_output("o", sched.net("o"));
   sched.add(comp);
-  sched::UntimedComponent dbl("dbl", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0] + in[0]};
+  sched::UntimedComponent dbl("dbl", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0] + in[0]);
   });
   dbl.bind_input(sched.net("o"));
   dbl.bind_output(sched.net("o2"));

@@ -373,21 +373,25 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == Overflow::kSaturate ? "_sat" : "_wrap");
     });
 
-// BitVector arithmetic agrees with int64 arithmetic for widths <= 32.
+// BitVector arithmetic agrees with int64 arithmetic for widths <= 32. The
+// reference wraps modulo 2^64 in uint64_t: the int64 product overflows
+// from width 32 up, which is undefined behaviour in signed arithmetic.
 class BitVectorArithProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BitVectorArithProperty, MatchesInt64) {
   const int w = GetParam();
   std::mt19937_64 rng(static_cast<unsigned>(w) * 977);
   const std::int64_t mask = (w == 64) ? -1 : ((1LL << w) - 1);
+  const auto umask = static_cast<std::uint64_t>(mask);
   for (int i = 0; i < 300; ++i) {
     const auto xa = static_cast<std::int64_t>(rng()) & mask;
     const auto xb = static_cast<std::int64_t>(rng()) & mask;
+    const auto ua = static_cast<std::uint64_t>(xa), ub = static_cast<std::uint64_t>(xb);
     const BitVector a(w, xa), b(w, xb);
-    EXPECT_EQ((a + b).to_uint64(), static_cast<std::uint64_t>(xa + xb) & static_cast<std::uint64_t>(mask));
-    EXPECT_EQ((a - b).to_uint64(), static_cast<std::uint64_t>(xa - xb) & static_cast<std::uint64_t>(mask));
-    EXPECT_EQ((a * b).to_uint64(), static_cast<std::uint64_t>(xa * xb) & static_cast<std::uint64_t>(mask));
-    EXPECT_EQ(a.ult(b), static_cast<std::uint64_t>(xa) < static_cast<std::uint64_t>(xb));
+    EXPECT_EQ((a + b).to_uint64(), (ua + ub) & umask);
+    EXPECT_EQ((a - b).to_uint64(), (ua - ub) & umask);
+    EXPECT_EQ((a * b).to_uint64(), (ua * ub) & umask);
+    EXPECT_EQ(a.ult(b), ua < ub);
   }
 }
 

@@ -157,7 +157,7 @@ TEST(Vhdl, DispatchComponentCasesOnInstruction) {
 TEST(Hdl, UntimedComponentRejected) {
   Clk clk;
   CycleScheduler sched(clk);
-  UntimedComponent ram("ram", [](const std::vector<Fixed>& in) { return in; });
+  UntimedComponent ram("ram", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) { out = in; });
   EXPECT_THROW(generate_component(Dialect::kVhdl, ram), std::invalid_argument);
 }
 

@@ -126,8 +126,8 @@ TEST(CycleScheduler, Fig6CircularTimedUntimedLoop) {
   SfgComponent c2("comp2", s2);
 
   // comp3: untimed, out3 = in3 + 1
-  UntimedComponent c3("comp3", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0] + Fixed(1.0)};
+  UntimedComponent c3("comp3", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0] + Fixed(1.0));
   });
 
   CycleScheduler sched(clk);
@@ -179,8 +179,8 @@ TEST(CycleScheduler, CombinationalLoopDetected) {
 
 TEST(CycleScheduler, UnfedUntimedBlockIsNotDeadlock) {
   Clk clk;
-  UntimedComponent lonely("lonely", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0]};
+  UntimedComponent lonely("lonely", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0]);
   });
   CycleScheduler sched(clk);
   lonely.bind_input(sched.net("never"));
@@ -240,12 +240,11 @@ TEST(CycleScheduler, ControllerDispatchRamRoundTrip) {
   // RAM as untimed block: always returns the stored value at addr
   // (read-before-write), then stores when we=1.
   std::vector<double> storage(256, 0.0);
-  UntimedComponent ram("ram", [&storage](const std::vector<Fixed>& in) {
+  UntimedComponent ram("ram", [&storage](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
     const bool we = in[0].value() != 0.0;
     const auto a = static_cast<std::size_t>(in[1].value());
-    std::vector<Fixed> out{Fixed(storage[a])};
+    out.push_back(Fixed(storage[a]));
     if (we) storage[a] = in[2].value();
-    return out;
   });
   ram.bind_input(sched.net("we"));
   ram.bind_input(sched.net("addr"));

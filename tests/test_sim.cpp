@@ -172,12 +172,11 @@ TEST(CompiledSystem, DispatchAndUntimedRamMatchInterpreted) {
   dp.bind_output("we", sched.net("we"));
 
   std::vector<double> storage(256, 0.0);
-  UntimedComponent ram("ram", [&storage](const std::vector<Fixed>& in) {
+  UntimedComponent ram("ram", [&storage](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
     const bool we = in[0].value() != 0.0;
     const auto a = static_cast<std::size_t>(in[1].value());
-    std::vector<Fixed> out{Fixed(storage[a])};
+    out.push_back(Fixed(storage[a]));
     if (we) storage[a] = in[2].value();
-    return out;
   });
   ram.bind_input(sched.net("we"));
   ram.bind_input(sched.net("addr"));

@@ -146,12 +146,11 @@ TEST(SystemSynth, DispatchWithRamMatchesCompiledSim) {
   rd.out("acc_probe", acc.sig());
 
   std::vector<double> storage(16, 0.0);
-  UntimedComponent ram("ram", [&storage, df](const std::vector<Fixed>& in) {
+  UntimedComponent ram("ram", [&storage, df](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
     const bool we = in[0].value() != 0.0;
     const auto a = static_cast<std::size_t>(in[1].value()) % 16;
-    std::vector<Fixed> out{Fixed(storage[a])};
+    out.push_back(Fixed(storage[a]));
     if (we) storage[a] = fixpt::quantize(in[2].value(), df);
-    return out;
   });
   ram.bind_input(sched.net("we"));
   ram.bind_input(sched.net("addr"));
@@ -188,7 +187,7 @@ TEST(SystemSynth, DispatchWithRamMatchesCompiledSim) {
 TEST(SystemSynth, MissingBuilderOrFormatRejected) {
   Clk clk;
   CycleScheduler sched(clk);
-  UntimedComponent u("mystery", [](const std::vector<Fixed>& in) { return in; });
+  UntimedComponent u("mystery", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) { out = in; });
   u.bind_input(sched.net("a"));
   u.bind_output(sched.net("b"));
   sched.add(u);

@@ -49,8 +49,8 @@ struct Fig6System {
   sfg::Sig in2 = sfg::Sig::input("in2", kF);
   sfg::Sfg s2{"s2"};
   sched::SfgComponent c2{"comp2", s2};
-  sched::UntimedComponent c3{"comp3", [](const std::vector<Fixed>& in) {
-    return std::vector<Fixed>{in[0] + Fixed(1.0)};
+  sched::UntimedComponent c3{"comp3", [](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+    out.push_back(in[0] + Fixed(1.0));
   }};
 
   Fig6System() {

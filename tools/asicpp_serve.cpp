@@ -9,7 +9,10 @@
 //
 // A stale socket file (e.g. after a kill -9) is unlinked at startup, so a
 // restarted daemon binds cleanly; clients simply reconnect and reopen
-// their sessions. Exits 0 on a protocol {"op":"shutdown"} or SIGINT/SIGTERM.
+// their sessions. A request line longer than service::kMaxRequestLine
+// (1 MiB) gets one {"ok":false,"code":"SVC-001",...} reply and its
+// connection is closed; other connections are unaffected. Exits 0 on a
+// protocol {"op":"shutdown"} or SIGINT/SIGTERM.
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -23,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/linebuf.h"
 #include "service/service.h"
 
 namespace {
@@ -49,31 +53,39 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// One connection: read JSON lines, answer each, until EOF or shutdown.
+/// Write all of `resp` and a newline; false when the client went away.
+bool send_line(int fd, std::string resp) {
+  resp += '\n';
+  std::size_t off = 0;
+  while (off < resp.size()) {
+    const ssize_t w = write(fd, resp.data() + off, resp.size() - off);
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// One connection: read JSON lines, answer each, until EOF, shutdown or a
+/// line over the cap.
 void serve_connection(asicpp::service::Service* svc, int fd, bool verbose) {
-  std::string buf;
+  using asicpp::service::LineBuffer;
+  LineBuffer lines;
+  std::string line;
   char chunk[4096];
   for (;;) {
     const ssize_t n = read(fd, chunk, sizeof chunk);
     if (n <= 0) break;
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      const std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
+    lines.append(chunk, static_cast<std::size_t>(n));
+    LineBuffer::Status st;
+    while ((st = lines.next(line)) != LineBuffer::Status::kNeedMore) {
+      if (st == LineBuffer::Status::kTooLong) {
+        send_line(fd, asicpp::service::line_too_long_reply());
+        close(fd);
+        return;
+      }
       if (line.empty()) continue;
       if (verbose) std::fprintf(stderr, "<- %s\n", line.c_str());
-      const std::string resp = svc->handle_line(line) + "\n";
-      std::size_t off = 0;
-      while (off < resp.size()) {
-        const ssize_t w = write(fd, resp.data() + off, resp.size() - off);
-        if (w <= 0) {
-          close(fd);
-          return;
-        }
-        off += static_cast<std::size_t>(w);
-      }
-      if (svc->shutdown_requested()) {
+      if (!send_line(fd, svc->handle_line(line)) || svc->shutdown_requested()) {
         close(fd);
         return;
       }

@@ -463,15 +463,17 @@ HdlComponent Writer::emit() {
         ctl << ind << "case to_integer(" << m_.instr_port << ") is\n";
       else
         ctl << ind << "case (" << m_.instr_port << ")\n";
-      for (const auto& [op, s] : m_.table) {
+      for (const auto& [op, s] : m_.table.entries()) {
         ctl << ind << (vhdl ? "when " + std::to_string(op) + " =>\n"
                             : std::to_string(op) + ": begin\n");
         emit_assignments(ctl, *s, ind + "  ");
         if (!vhdl) ctl << ind << "end\n";
       }
       ctl << ind << (vhdl ? "when others =>\n" : "default: begin\n");
-      if (m_.dflt != nullptr) emit_assignments(ctl, *m_.dflt, ind + "  ");
-      if (vhdl && m_.dflt == nullptr) ctl << ind << "  null;\n";
+      if (m_.table.has_default())
+        emit_assignments(ctl, *m_.table.default_value(), ind + "  ");
+      else if (vhdl)
+        ctl << ind << "  null;\n";
       if (!vhdl) ctl << ind << "end\n";
       ctl << ind << (vhdl ? "end case;\n" : "endcase\n");
       break;

@@ -15,6 +15,7 @@
 #include "sched/component.h"
 #include "sched/fsmcomp.h"
 #include "sched/net.h"
+#include "sched/opcode_table.h"
 #include "sfg/wordlen.h"
 
 namespace asicpp::hdl {
@@ -24,8 +25,7 @@ struct CompModel {
   std::string name;
   std::vector<sfg::Sfg*> sfgs;
   fsm::Fsm* fsm = nullptr;                       ///< Kind::kFsm
-  std::map<long, sfg::Sfg*> table;               ///< Kind::kDispatch
-  sfg::Sfg* dflt = nullptr;                      ///< Kind::kDispatch
+  sched::OpcodeTable<sfg::Sfg*> table{nullptr};  ///< Kind::kDispatch
   std::string instr_port;                        ///< Kind::kDispatch
   std::vector<sfg::NodePtr> inputs;              ///< declared input signals
   std::vector<std::string> out_ports;            ///< declaration order
@@ -36,8 +36,8 @@ struct CompModel {
   std::vector<std::pair<sfg::NodePtr, sched::Net*>> in_binds;
 
   /// Pass-optimized clones: when the optimizer pipeline changes a graph it
-  /// is rebuilt into a fresh Sfg owned here, and `sfgs` / `table` / `dflt`
-  /// point at the clone. Leaves and untouched interior nodes are shared
+  /// is rebuilt into a fresh Sfg owned here, and `sfgs` / `table` point
+  /// at the clone. Leaves and untouched interior nodes are shared
   /// with the original, so unchanged graphs stay byte-identical in the
   /// emitted HDL.
   std::vector<std::unique_ptr<sfg::Sfg>> owned;

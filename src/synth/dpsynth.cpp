@@ -443,14 +443,14 @@ void CompSynth::build_modes_and_selects() {
                             ? wb_.quantize(provided_->at("instr"), kInstrFmt)
                             : wb_.input("instr", kInstrFmt);
       std::vector<std::int32_t> match_bits;
-      for (const auto& [opcode, s] : m_.table) {
+      for (const auto& [opcode, s] : m_.table.entries()) {
         Mode m;
         m.sel = wb_.equal(instr, wb_.constant(static_cast<double>(opcode), kInstrFmt));
         m.sfgs = {s};
         match_bits.push_back(m.sel);
         modes_.push_back(m);
       }
-      if (m_.dflt != nullptr) {
+      if (m_.table.has_default()) {
         if (match_bits.empty())
           throw std::invalid_argument("synthesize_component: dispatch with no opcodes");
         std::int32_t any = match_bits.front();
@@ -458,7 +458,7 @@ void CompSynth::build_modes_and_selects() {
           any = wb_.netlist().add_gate(GateType::kOr, any, match_bits[i]);
         Mode m;
         m.sel = wb_.netlist().add_gate(GateType::kNot, any);
-        m.sfgs = {m_.dflt};
+        m.sfgs = {m_.table.default_value()};
         modes_.push_back(m);
       }
       break;

@@ -1,6 +1,5 @@
 #include "batch/batch.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "ckpt/snapshot.h"
@@ -80,13 +79,8 @@ void BatchedSystem::restore_lane_impl(unsigned lane, std::istream& is) {
             "a per-lane snapshot must restore into the same lane index"});
   }
   restore_lane_body(r, lane);
-  const std::size_t nref = r.count(1u << 24);
-  if (nref != img_->refresh.size()) {
-    r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-           {"snapshot carries " + std::to_string(nref) +
-            " refresh value(s), this image has " +
-            std::to_string(img_->refresh.size())});
-  }
+  const std::size_t nref =
+      r.count(1u << 24, img_->refresh.size(), "refresh value(s), this image has");
   for (std::size_t i = 0; i < nref; ++i) refresh_[i * lanes() + lane] = r.f64();
   r.end();
   cycles_ = cyc;
@@ -94,19 +88,11 @@ void BatchedSystem::restore_lane_impl(unsigned lane, std::istream& is) {
 
 void BatchedSystem::restore_lane(unsigned lane, std::istream& is) {
   check_lane(lane, "restore_lane");
-  // Transactional: roll back to a pre-restore snapshot on any failure so a
-  // bad stream leaves the lane untouched.
-  std::ostringstream backup;
-  save_lane(lane, backup);
-  const std::uint64_t cyc = cycles_;
-  try {
-    restore_lane_impl(lane, is);
-  } catch (...) {
-    std::istringstream b(backup.str());
-    restore_lane_impl(lane, b);
-    cycles_ = cyc;
-    throw;
-  }
+  // The rollback snapshot carries the current cycle count as its position,
+  // so rolling back restores cycles_ with the lane.
+  ckpt::restore_or_roll_back(
+      is, [&](std::ostream& os) { save_lane(lane, os); },
+      [&](std::istream& in) { restore_lane_impl(lane, in); });
 }
 
 }  // namespace asicpp::batch

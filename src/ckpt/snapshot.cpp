@@ -4,6 +4,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 namespace asicpp::ckpt {
 
@@ -62,6 +63,19 @@ Hasher& Hasher::fmt(const fixpt::Format& f) {
 
 std::uint64_t hash_string(const std::string& s) {
   return Hasher{}.str(s).digest();
+}
+
+void restore_or_roll_back(std::istream& is, const std::function<void(std::ostream&)>& save,
+                          const std::function<void(std::istream&)>& restore) {
+  std::ostringstream backup;
+  save(backup);
+  try {
+    restore(is);
+  } catch (...) {
+    std::istringstream b(backup.str());
+    restore(b);
+    throw;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -254,6 +268,23 @@ std::size_t Reader::count(std::size_t limit) {
           "limit " + std::to_string(limit)});
   }
   return n;
+}
+
+std::size_t Reader::count(std::size_t limit, std::size_t want, const std::string& what) {
+  const std::size_t n = count(limit);
+  if (n != want) {
+    fail("CKPT-004", "truncated or corrupt snapshot stream",
+         {"snapshot carries " + std::to_string(n) + " " + what + " " + std::to_string(want)});
+  }
+  return n;
+}
+
+void Reader::name(const std::string& what, const std::string& want) {
+  const std::string got = str();
+  if (got != want) {
+    fail("CKPT-004", "truncated or corrupt snapshot stream",
+         {what + " record names '" + got + "' where '" + want + "' was expected"});
+  }
 }
 
 }  // namespace asicpp::ckpt

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -87,6 +88,14 @@ class Hasher {
 
 /// Convenience: hash one string (e.g. a canonical spec text) to a salt.
 std::uint64_t hash_string(const std::string& s);
+
+/// The transactional restore of every engine: snapshot the current state
+/// with `save`, then `restore` from `is`; on any failure restore that
+/// snapshot and rethrow, so a bad stream leaves the engine untouched. The
+/// rollback snapshot is self-produced against the same structure, so
+/// re-applying it cannot fail.
+void restore_or_roll_back(std::istream& is, const std::function<void(std::ostream&)>& save,
+                          const std::function<void(std::istream&)>& restore);
 
 /// Little-endian binary writer over a std::ostream.
 class Writer {
@@ -141,6 +150,12 @@ class Reader {
   /// Read `n` as a count and verify it is at most `limit` (a corrupt
   /// length prefix must not drive a multi-gigabyte allocation).
   std::size_t count(std::size_t limit);
+  /// count(limit) that must equal `want`: CKPT-004 "snapshot carries <n>
+  /// <what> <want>" otherwise, e.g. what = "net(s), this system has".
+  std::size_t count(std::size_t limit, std::size_t want, const std::string& what);
+  /// str() that must equal `want`: CKPT-004 "<what> record names ..."
+  /// otherwise.
+  void name(const std::string& what, const std::string& want);
 
   [[noreturn]] void fail(const std::string& code, const std::string& message,
                          const std::vector<std::string>& notes = {}) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "ckpt/snapshot.h"
 
@@ -19,19 +18,21 @@ std::size_t DynamicScheduler::sweep() {
   return fired;
 }
 
-void DynamicScheduler::fill_postmortem(Result& r) const {
-  for (const auto* q : watched_) {
-    r.queues.push_back(QueueSnapshot{q->name(), q->size(), q->capacity(),
-                                     q->total_pushed()});
-  }
-  for (const auto* p : procs_) {
-    if (p->can_fire()) continue;  // fireable processes are not blocked
-    r.blocked.push_back(BlockedProcess{p->name(), p->blocked_reason()});
-  }
-}
+RunResult DynamicScheduler::run(const RunOptions& opts) {
+  // The diagnostics sink is the one override; restored even when a process
+  // throws.
+  struct Restore {
+    DynamicScheduler* s;
+    diag::DiagEngine* diag;
+    ~Restore() { s->diag_ = diag; }
+  } restore{this, diag_};
+  if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
+  Profile profile;
+  profile.reset(opts.profile, procs_.size());
+  const std::size_t max_firings = opts.firings != 0 ? opts.firings : 1'000'000;
+  const double wall_limit = opts.wall_clock_s;
 
-DynamicScheduler::Result DynamicScheduler::run_impl(std::size_t max_firings,
-                                                    double wall_limit) {
+  RunResult out;
   Result r;
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t sweeps = 0;
@@ -50,13 +51,10 @@ DynamicScheduler::Result DynamicScheduler::run_impl(std::size_t max_firings,
         }
       }
       if (p->can_fire()) {
-        if (profile_) {
-          const auto t0 = std::chrono::steady_clock::now();
+        if (profile.on()) {
+          const Profile::Clock::time_point t0 = Profile::Clock::now();
           p->run_once();
-          prof_[pi].second += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-          ++prof_[pi].first;
+          profile.add(pi, 1, t0);
         } else {
           p->run_once();
         }
@@ -65,10 +63,10 @@ DynamicScheduler::Result DynamicScheduler::run_impl(std::size_t max_firings,
       }
     }
     ++sweeps;
-    if (on_sweep_) on_sweep_(sweeps);
-    if (ckpt_every_ != 0 && on_ckpt_ && sweeps % ckpt_every_ == 0) {
-      on_ckpt_(sweeps);
-      ++ckpt_emitted_;
+    if (opts.on_cycle_end) opts.on_cycle_end(sweeps);
+    if (opts.checkpoint_every != 0 && opts.on_checkpoint && sweeps % opts.checkpoint_every == 0) {
+      opts.on_checkpoint(sweeps);
+      ++out.checkpoints;
     }
     if (!fired) break;
   }
@@ -77,7 +75,12 @@ DynamicScheduler::Result DynamicScheduler::run_impl(std::size_t max_firings,
     if (!q->empty()) r.stranded.push_back(q->name());
   }
   r.deadlocked = !r.stranded.empty();
-  fill_postmortem(r);
+  for (const auto* q : watched_)
+    r.queues.push_back(QueueSnapshot{q->name(), q->size(), q->capacity(), q->total_pushed()});
+  for (const auto* p : procs_) {
+    if (p->can_fire()) continue;  // fireable processes are not blocked
+    r.blocked.push_back(BlockedProcess{p->name(), p->blocked_reason()});
+  }
 
   // Watchdog: still-fireable processes mean the stop was the budget or the
   // wall clock, not quiescence.
@@ -112,51 +115,18 @@ DynamicScheduler::Result DynamicScheduler::run_impl(std::size_t max_firings,
       d.note("process '" + b.process + "' blocked: " + b.waiting_on);
     }
   }
-  return r;
-}
 
-RunResult DynamicScheduler::run(const RunOptions& opts) {
-  struct Restore {
-    DynamicScheduler* s;
-    diag::DiagEngine* diag;
-    ~Restore() {
-      s->diag_ = diag;
-      s->profile_ = false;
-      s->on_sweep_ = nullptr;
-      s->ckpt_every_ = 0;
-      s->on_ckpt_ = nullptr;
-    }
-  } restore{this, diag_};
-  if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
-  profile_ = opts.profile;
-  if (profile_) prof_.assign(procs_.size(), {0, 0.0});
-  on_sweep_ = opts.on_cycle_end;
-  ckpt_every_ = opts.checkpoint_every;
-  on_ckpt_ = opts.on_checkpoint;
-  ckpt_emitted_ = 0;
-
-  const std::size_t budget = opts.firings != 0 ? opts.firings : 1'000'000;
-  last_ = run_impl(budget, opts.wall_clock_s);
-
-  RunResult r;
-  r.firings = last_.firings;
-  r.checkpoints = ckpt_emitted_;
-  r.schedule = ScheduleMode::kIterative;  // dataflow firing order is dynamic
-  if (last_.watchdog_tripped) {
-    r.stop = last_.wall_clock_tripped ? StopReason::kWallClock
-                                      : StopReason::kFiringBudget;
+  out.firings = r.firings;
+  out.schedule = ScheduleMode::kIterative;  // dataflow firing order is dynamic
+  if (r.watchdog_tripped) {
+    out.stop = r.wall_clock_tripped ? StopReason::kWallClock : StopReason::kFiringBudget;
   } else {
-    r.stop = last_.deadlocked ? StopReason::kDeadlock : StopReason::kQuiescent;
+    out.stop = r.deadlocked ? StopReason::kDeadlock : StopReason::kQuiescent;
   }
-  if (opts.profile) {
-    r.timing.reserve(procs_.size());
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-      if (prof_[i].first == 0) continue;
-      r.timing.push_back(
-          ComponentTiming{procs_[i]->name(), prof_[i].first, prof_[i].second});
-    }
-  }
-  return r;
+  if (opts.profile)
+    out.timing = profile.timing([this](std::size_t i) { return procs_[i]->name(); });
+  last_ = std::move(r);
+  return out;
 }
 
 std::vector<Queue*> DynamicScheduler::reachable_queues() const {
@@ -219,34 +189,18 @@ void DynamicScheduler::restore_state_impl(std::istream& is) {
   r.header(ckpt::EngineKind::kDataflow, state_hash());
 
   const auto qs = reachable_queues();
-  const std::size_t nq = r.count(1u << 20);
-  if (nq != qs.size()) {
-    r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-           {"snapshot carries " + std::to_string(nq) +
-            " queue(s), this system has " + std::to_string(qs.size())});
-  }
   std::vector<std::pair<std::deque<Token>, std::size_t>> staged;
-  staged.reserve(nq);
+  staged.reserve(r.count(1u << 20, qs.size(), "queue(s), this system has"));
   for (const Queue* q : qs) {
-    const std::string name = r.str();
-    if (name != q->name()) {
-      r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-             {"queue record names '" + name + "' where '" + q->name() +
-              "' was expected"});
-    }
+    r.name("queue", q->name());
     const std::size_t n = r.count(1u << 24);
     std::deque<Token> tokens;
     for (std::size_t i = 0; i < n; ++i) tokens.push_back(r.fixed());
     const auto pushed = static_cast<std::size_t>(r.u64());
     staged.emplace_back(std::move(tokens), pushed);
   }
-  const std::size_t np = r.count(1u << 20);
-  if (np != procs_.size()) {
-    r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-           {"snapshot carries " + std::to_string(np) +
-            " process(es), this system has " + std::to_string(procs_.size())});
-  }
-  std::vector<std::uint64_t> firings(np);
+  std::vector<std::uint64_t> firings(
+      r.count(1u << 20, procs_.size(), "process(es), this system has"));
   for (auto& f : firings) f = r.u64();
   r.end();
 
@@ -258,17 +212,9 @@ void DynamicScheduler::restore_state_impl(std::istream& is) {
 }
 
 void DynamicScheduler::restore_state(std::istream& is) {
-  // Transactional: roll back to a pre-restore snapshot on any failure so a
-  // bad stream leaves the scheduler untouched.
-  std::ostringstream backup;
-  save_state(backup);
-  try {
-    restore_state_impl(is);
-  } catch (...) {
-    std::istringstream b(backup.str());
-    restore_state_impl(b);
-    throw;
-  }
+  ckpt::restore_or_roll_back(
+      is, [this](std::ostream& os) { save_state(os); },
+      [this](std::istream& in) { restore_state_impl(in); });
 }
 
 }  // namespace asicpp::df

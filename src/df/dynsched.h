@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -98,22 +97,13 @@ class DynamicScheduler {
   /// first-reference order — the serialization order of save_state.
   std::vector<Queue*> reachable_queues() const;
   void restore_state_impl(std::istream& is);
-  Result run_impl(std::size_t max_firings, double wall_limit);
-  void fill_postmortem(Result& r) const;
 
   std::vector<Process*> procs_;
   std::vector<Queue*> watched_;
   Result last_;
   diag::DiagEngine* diag_ = nullptr;
   diag::DiagEngine own_diag_;
-  bool profile_ = false;
-  std::vector<std::pair<std::uint64_t, double>> prof_;  // per procs_ index
-  std::function<void(std::uint64_t)> on_sweep_;
   std::uint64_t state_salt_ = 0;
-  // Checkpoint cadence of the current run() (see RunOptions).
-  std::uint64_t ckpt_every_ = 0;
-  std::function<void(std::uint64_t)> on_ckpt_;
-  std::uint64_t ckpt_emitted_ = 0;
 };
 
 }  // namespace asicpp::df

@@ -182,8 +182,8 @@ class DiagEngine {
 
 /// Find a directed cycle in the graph given by per-node successor lists.
 /// Returns the node sequence of one cycle (closed: front() == back()), or
-/// an empty vector when the graph is acyclic. Shared by the deadlock
-/// post-mortems of the cycle scheduler and the compiled simulator.
+/// an empty vector when the graph is acyclic. Shared by the SCHED-001
+/// post-mortem and the levelizer's cycle report (sched/).
 std::vector<int> find_cycle(const std::vector<std::vector<int>>& adj);
 
 }  // namespace asicpp::diag

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "ckpt/snapshot.h"
-#include "par/pool.h"
 #include "pipeline/artifact.h"
 
 namespace asicpp::jit {
@@ -87,6 +86,8 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
                              const opt::PassOptions& passes,
                              const JitOptions& jopts) {
   JitSystem js(CS::compile(sched, passes));
+  // One origin for all of this engine's diagnostics, fallback included.
+  js.cs_.core_.origin = "jit engine";
 
   diag::DiagEngine& de =
       jopts.diagnostics != nullptr ? *jopts.diagnostics : js.cs_.diagnostics();
@@ -198,15 +199,18 @@ int JitSystem::fire_untimed_cb(void* host, int comp) {
   }
 }
 
+// Phases 0-3 run in the emitted unit; the walk decision, the level-parallel
+// walk and SCHED-001/002 are the shared phase-2 core's (sched/phase2.h).
 void JitSystem::native_cycle() {
   cs_.begin_cycle();
   JitState st = make_state();
   const sim::Image& img = *cs_.img_;
-  const bool walk = cs_.mode_ != ScheduleMode::kIterative && img.levelizable;
+  sched::Phase2& core = cs_.core_;
+  const bool walk = core.walks(img.level_offsets, img.sched_reason, cs_.cycles_);
   int ret;
-  if (walk && cs_.threads_ > 1 && !par::Pool::in_parallel_region()) {
+  if (walk && core.parallel()) {
     fn_begin_(&st);
-    sim::walk_levels_parallel(img, cs_.threads_, [&](std::size_t k) {
+    sched::walk_levels(img.level_offsets, core.threads, [&](std::size_t k) {
       fn_try_slot_(&st, static_cast<int>(k));
     });
     ret = fn_finish_(&st);
@@ -220,13 +224,12 @@ void JitSystem::native_cycle() {
     std::rethrow_exception(e);
   }
   if (st.deadlock == 2) cs_.unknown_opcode(static_cast<std::size_t>(st.dl_comp), st.dl_op, 0);
-  if (ret < 0 || st.deadlock == 1) cs_.deadlock();
+  if (ret < 0 || st.deadlock == 1) core.deadlock(cs_.postmortem());
 
-  if (ret > 0) cs_.retry_passes_total_ += static_cast<std::uint64_t>(ret);
-  if (walk && ret == 0) ++cs_.levelized_cycles_total_;
-  std::size_t fired = 0;
-  for (const int f : cs_.fired_) fired += f != 0 ? 1 : 0;
-  cs_.fired_total_.add(fired);
+  // The unit returns the sweeps it made beyond the first.
+  core.retry_passes += static_cast<std::uint64_t>(ret);
+  if (walk) core.walk_outcome(ret == 0, cs_.cycles_);
+  for (const int f : cs_.fired_) core.firings += f != 0 ? 1 : 0;
   ++cs_.cycles_;
 }
 
@@ -244,7 +247,7 @@ RunResult JitSystem::run(const RunOptions& opts) {
   // needs the instrumented interpreter loop).
   if (!native_ || opts.profile) return cs_.run(opts);
 
-  return cs_.run_steps(opts, "jit engine", [this] { native_cycle(); });
+  return cs_.run_steps(opts, [this] { native_cycle(); });
 }
 
 }  // namespace asicpp::jit

@@ -20,6 +20,9 @@
 //                                deadlocked, which identifies true
 //                                combinational loops;
 //   3. register update         — next-values commit, FSM states advance.
+//
+// Phase 2 — the level walk, the sweep, SCHED-001/002 — is the shared core
+// of every cycle engine (sched/phase2.h), here over the component objects.
 #pragma once
 
 #include <cstdint>
@@ -31,22 +34,14 @@
 #include <vector>
 
 #include "diag/diag.h"
-#include "par/pool.h"
 #include "sched/component.h"
 #include "sched/net.h"
+#include "sched/phase2.h"
 #include "sched/run.h"
 #include "sched/schedule.h"
 #include "sfg/clk.h"
 
 namespace asicpp::sched {
-
-/// Raised when the evaluation phase cannot complete: a genuine
-/// combinational loop between components. Carries a structured SCHED-001
-/// post-mortem: the unfired component set, the blocking net dependency
-/// cycle, and last-known values of the involved nets.
-struct DeadlockError : asicpp::Error {
-  explicit DeadlockError(diag::Diagnostic d) : asicpp::Error(std::move(d)) {}
-};
 
 class CycleScheduler {
  public:
@@ -63,13 +58,9 @@ class CycleScheduler {
   Net& net(const std::string& name);
 
   /// Cap on evaluation sweeps per cycle before declaring deadlock.
-  void set_max_iterations(int n) { max_iters_ = n; }
+  void set_max_iterations(int n) { core_.max_iters = n; }
 
-  struct CycleStats {
-    int eval_iterations = 0;
-    int fired_components = 0;
-    bool levelized = false;  ///< phase 2 completed via the static level walk
-  };
+  using CycleStats = Phase2::Pass;
 
   /// Simulate one clock cycle. Throws DeadlockError on combinational loops
   /// (the post-mortem is also reported into the attached engine, if any).
@@ -88,21 +79,15 @@ class CycleScheduler {
   // --- static schedule ---
 
   /// Phase-2 evaluation order policy for cycle() calls outside run().
-  void set_schedule_mode(ScheduleMode m) { mode_ = m; }
-  ScheduleMode schedule_mode() const { return mode_; }
+  void set_schedule_mode(ScheduleMode m) { core_.mode = m; }
+  ScheduleMode schedule_mode() const { return core_.mode; }
 
   /// Worker lanes for the level-parallel phase-2 walk, for cycle() calls
   /// outside run() (see RunOptions::nthreads; 1 = serial, 0 = hardware).
   /// Results are bit-identical to serial execution: only levelized cycles
   /// parallelize and actions within one level touch disjoint nets.
-  void set_threads(unsigned n) {
-    threads_ = n == 0 ? par::Pool::hardware_lanes() : n;
-  }
-  unsigned threads() const { return threads_; }
-
-  /// Levels at least this wide are partitioned across the pool; narrower
-  /// ones run serially (the barrier would cost more than it buys).
-  static constexpr std::size_t kMinParallelWidth = 4;
+  void set_threads(unsigned n) { core_.set_threads(n); }
+  unsigned threads() const { return core_.threads; }
 
   /// The levelized schedule, rebuilt lazily after structural changes.
   /// invalid() when the system cannot be statically ordered.
@@ -115,8 +100,8 @@ class CycleScheduler {
   /// back); it is re-levelized before the next cycle.
   void invalidate_schedule() {
     schedule_stale_ = true;
-    schedule_failures_ = 0;
-    sched002_reported_ = false;
+    core_.walk_misses = 0;
+    core_.sched002_reported = false;
   }
 
   // --- diagnostics & run watchdogs ---
@@ -124,11 +109,11 @@ class CycleScheduler {
   /// Route diagnostics (deadlock post-mortems, watchdog reports) into an
   /// external engine; without this the scheduler uses an internal one,
   /// reachable via diagnostics().
-  void attach_diagnostics(diag::DiagEngine& de) { diag_ = &de; }
-  diag::DiagEngine& diagnostics() { return diag_ != nullptr ? *diag_ : own_diag_; }
+  void attach_diagnostics(diag::DiagEngine& de) { core_.attach_diagnostics(de); }
+  diag::DiagEngine& diagnostics() { return core_.diagnostics(); }
 
   /// True when the last run() was stopped by a watchdog.
-  bool watchdog_tripped() const { return watchdog_tripped_; }
+  bool watchdog_tripped() const { return core_.watchdog_tripped; }
 
   /// Invoked after each completed cycle (monitors, stimulus recorders).
   void on_cycle_end(std::function<void(std::uint64_t cycle)> cb) {
@@ -167,10 +152,12 @@ class CycleScheduler {
   /// Introspection for the compiled-code and HDL generators.
   const std::vector<Component*>& components() const { return comps_; }
   std::vector<Net*> all_nets() const;
-  int max_iterations() const { return max_iters_; }
+  int max_iterations() const { return core_.max_iters; }
 
  private:
-  diag::Diagnostic deadlock_postmortem() const;
+  struct Access;  // the phase-2 access policy (cyclesched.cpp)
+
+  diag::Diagnostic postmortem() const;
   void restore_state_impl(std::istream& is);
   void refresh_schedule() {
     if (!schedule_stale_) return;
@@ -183,19 +170,10 @@ class CycleScheduler {
   std::map<std::string, std::unique_ptr<Net>> nets_;
   std::vector<Net*> net_list_;  ///< flat creation-order view of nets_, for the hot per-cycle sweep
   std::vector<std::function<void(std::uint64_t)>> monitors_;
-  int max_iters_ = 64;
-  diag::DiagEngine* diag_ = nullptr;
-  diag::DiagEngine own_diag_;
-  bool watchdog_tripped_ = false;
-  ScheduleMode mode_ = ScheduleMode::kAuto;
-  unsigned threads_ = 1;
+  Phase2 core_{"cycle scheduler", /*threaded=*/true};
   Schedule schedule_;
   bool schedule_stale_ = true;
-  int schedule_failures_ = 0;   // consecutive walk misses; >= 2 disables the walk
-  bool sched002_reported_ = false;
   std::uint64_t state_salt_ = 0;
-  bool profile_ = false;
-  std::map<Component*, std::pair<std::uint64_t, double>> prof_;
 };
 
 }  // namespace asicpp::sched

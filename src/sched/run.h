@@ -7,6 +7,8 @@
 // (work done, retry accounting, per-component timing, stop reason).
 #pragma once
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -117,6 +119,41 @@ struct ComponentTiming {
   double seconds = 0.0;
 };
 
+/// Per-component firings and wall time of a profiled run, by component (or
+/// dataflow process) index: the one profile table of every engine.
+class Profile {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Profile `n` components from zero when `on`, else none (off).
+  void reset(bool on, std::size_t n) { rows_.assign(on ? n : 0, Row{}); }
+  bool on() const { return !rows_.empty(); }
+  /// Charge component `i` with `firings` and the time since `t0`.
+  void add(std::size_t i, std::uint64_t firings, Clock::time_point t0) {
+    rows_[i].seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    rows_[i].firings += firings;
+    rows_[i].timed = true;
+  }
+  /// RunResult::timing: the components timed at least once, in index
+  /// order, named by `name(i)`.
+  template <class Name>
+  std::vector<ComponentTiming> timing(Name&& name) const {
+    std::vector<ComponentTiming> out;
+    for (std::size_t i = 0; i < rows_.size(); ++i)
+      if (rows_[i].timed)
+        out.push_back(ComponentTiming{name(i), rows_[i].firings, rows_[i].seconds});
+    return out;
+  }
+
+ private:
+  struct Row {
+    std::uint64_t firings = 0;
+    double seconds = 0.0;
+    bool timed = false;
+  };
+  std::vector<Row> rows_;
+};
+
 /// What a run did. Common to all three engines; fields an engine cannot
 /// populate stay at their defaults (e.g. retry_passes for the dataflow
 /// scheduler, firings deltas for a watchdog-stopped run).
@@ -144,30 +181,6 @@ struct RunResult {
            stop == StopReason::kWallClock;
   }
 };
-
-/// Running totals of a cycle engine. run_cycles() reads them before and
-/// after a run and reports the difference.
-struct CycleTotals {
-  std::uint64_t cycles = 0;            ///< cycles simulated so far
-  std::uint64_t firings = 0;           ///< component firings so far
-  std::uint64_t retry_passes = 0;      ///< phase-2 sweeps beyond the first
-  std::uint64_t levelized_cycles = 0;  ///< cycles run by the level walk
-};
-
-/// The run loop of the cycle engines (CycleScheduler, CompiledSystem,
-/// JitSystem, BatchedSystem). Calls `step` to simulate one cycle, up to
-/// opts.cycles times. Stops early when the engine's total cycle count
-/// reaches opts.cycle_budget (WATCHDOG-001) or opts.wall_clock_s has
-/// elapsed (WATCHDOG-002). Both watchdogs report into `de`, name `engine`
-/// as the origin and set `watchdog_tripped`. After each cycle it calls
-/// opts.on_cycle_end, and every opts.checkpoint_every cycles
-/// opts.on_checkpoint, with the total cycle count. The result holds the
-/// change in `totals` and the schedule most cycles used. Scoped overrides
-/// and profiling stay with the engine.
-RunResult run_cycles(const RunOptions& opts, const char* engine,
-                     diag::DiagEngine& de, bool& watchdog_tripped,
-                     const std::function<CycleTotals()>& totals,
-                     const std::function<void()>& step);
 
 inline const char* schedule_mode_name(ScheduleMode m) {
   switch (m) {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 
+#include "diag/diag.h"
 #include "sched/net.h"
 
 namespace asicpp::sched {
@@ -55,106 +56,105 @@ std::vector<int> levelize_actions(const std::vector<std::vector<std::int32_t>>& 
   }
   if (done == n) return level;
 
-  // Cyclic: every unprocessed action sits on or behind a cycle. Walk
-  // forward through unprocessed successors until an action repeats.
+  // Cyclic: every unprocessed action sits on or behind a cycle, so the
+  // unprocessed part of the graph holds one.
   if (cycle_out != nullptr) {
-    cycle_out->clear();
-    int start = -1;
-    for (int i = 0; i < n && start < 0; ++i) {
-      if (indeg[i] > 0) start = i;
+    std::vector<std::vector<int>> rest(n);
+    for (int u = 0; u < n; ++u) {
+      for (const int v : adj[u])
+        if (indeg[u] > 0 && indeg[v] > 0) rest[u].push_back(v);
     }
-    std::vector<int> pos(n, -1);
-    std::vector<int> path;
-    int u = start;
-    while (u >= 0 && pos[u] < 0) {
-      pos[u] = static_cast<int>(path.size());
-      path.push_back(u);
-      int next = -1;
-      for (const int v : adj[u]) {
-        if (indeg[v] > 0) {
-          next = v;
-          break;
-        }
-      }
-      u = next;
-    }
-    if (u >= 0) cycle_out->assign(path.begin() + pos[u], path.end());
+    *cycle_out = diag::find_cycle(rest);
+    if (!cycle_out->empty()) cycle_out->pop_back();  // find_cycle closes it
   }
   return {};
+}
+
+LevelOrder order_actions(const std::vector<std::vector<std::int32_t>>& needs,
+                         const std::vector<std::vector<std::int32_t>>& produces,
+                         const std::vector<int>& after, const std::vector<std::size_t>& comp,
+                         const std::vector<std::string>& names) {
+  LevelOrder lo;
+  std::vector<int> cyc;
+  const std::vector<int> level = levelize_actions(needs, produces, after, &cyc);
+  if (level.size() != needs.size()) {
+    lo.reason = "dependency cycle:";
+    std::vector<bool> named(names.size(), false);
+    for (const int a : cyc) {
+      const std::size_t c = comp[static_cast<std::size_t>(a)];
+      if (named[c]) continue;
+      named[c] = true;
+      lo.reason += " " + names[c];
+    }
+    return lo;
+  }
+  lo.order.resize(needs.size());
+  for (std::size_t i = 0; i < lo.order.size(); ++i) lo.order[i] = static_cast<int>(i);
+  std::stable_sort(lo.order.begin(), lo.order.end(),
+                   [&](int a, int b) { return level[a] < level[b]; });
+  const std::size_t levels =
+      lo.order.empty() ? 0 : static_cast<std::size_t>(level[lo.order.back()]) + 1;
+  lo.offsets.assign(levels + 1, lo.order.size());
+  for (std::size_t i = lo.order.size(); i-- > 0;)
+    lo.offsets[static_cast<std::size_t>(level[lo.order[i]])] = i;
+  lo.offsets[0] = 0;
+  return lo;
 }
 
 Schedule Schedule::build(const std::vector<Component*>& comps) {
   Schedule s;
   s.ncomps_ = comps.size();
 
-  std::vector<Component*> act_comp;
+  std::vector<std::size_t> act_comp;
   std::vector<std::vector<std::int32_t>> needs;
   std::vector<std::vector<std::int32_t>> produces;
   std::vector<int> after;
+  std::vector<std::string> names;
 
   std::map<const Net*, std::int32_t> net_ids;
   const auto ids_of = [&](const std::vector<const Net*>& nets) {
     std::vector<std::int32_t> ids;
     ids.reserve(nets.size());
-    for (const Net* n : nets) {
-      const auto [it, inserted] =
-          net_ids.emplace(n, static_cast<std::int32_t>(net_ids.size()));
-      (void)inserted;
-      ids.push_back(it->second);
-    }
+    for (const Net* n : nets)
+      ids.push_back(net_ids.emplace(n, static_cast<std::int32_t>(net_ids.size())).first->second);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     return ids;
   };
 
-  for (Component* c : comps) {
+  for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    const Component* c = comps[ci];
     const Component::StaticDeps d = c->static_deps();
     if (!d.schedulable) {
       s.reason_ = "component '" + c->name() + "' has no static firing order";
       return s;
     }
+    names.push_back(c->name());
     int decode_idx = -1;
     if (d.has_decode) {
       decode_idx = static_cast<int>(act_comp.size());
-      act_comp.push_back(c);
+      act_comp.push_back(ci);
       needs.push_back(ids_of(d.decode_requires));
       produces.push_back(ids_of(d.decode_produces));
       after.push_back(-1);
     }
-    act_comp.push_back(c);
+    act_comp.push_back(ci);
     needs.push_back(ids_of(d.fire_requires));
     produces.push_back(ids_of(d.fire_produces));
     after.push_back(decode_idx);
   }
 
-  std::vector<int> cyc;
-  const std::vector<int> levels = levelize_actions(needs, produces, after, &cyc);
-  if (levels.size() != act_comp.size()) {
-    std::string msg = "dependency cycle:";
-    for (const int a : cyc) {
-      // The decode and firing actions of one dispatch component may both
-      // appear; naming the component once is enough.
-      if (msg.empty() || msg.rfind(act_comp[a]->name()) == std::string::npos)
-        msg += " " + act_comp[a]->name();
-    }
-    s.reason_ = msg;
+  LevelOrder lo = order_actions(needs, produces, after, act_comp, names);
+  if (!lo.reason.empty()) {
+    s.reason_ = std::move(lo.reason);
     return s;
   }
-
-  std::vector<int> idx(act_comp.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](int a, int b) { return levels[a] < levels[b]; });
-  s.order_.reserve(idx.size());
-  for (const int i : idx) {
-    s.order_.push_back(Slot{act_comp[i], levels[i]});
-    s.levels_ = std::max(s.levels_, levels[i] + 1);
+  s.order_.reserve(lo.order.size());
+  for (const int a : lo.order) {
+    const std::size_t ci = act_comp[static_cast<std::size_t>(a)];
+    s.order_.push_back(Slot{comps[ci], ci});
   }
-  s.offsets_.assign(static_cast<std::size_t>(s.levels_) + 1, s.order_.size());
-  for (std::size_t i = s.order_.size(); i-- > 0;)
-    s.offsets_[static_cast<std::size_t>(s.order_[i].level)] = i;
-  s.offsets_[0] = 0;
-  s.valid_ = true;
+  s.offsets_ = std::move(lo.offsets);
   return s;
 }
 

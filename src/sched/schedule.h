@@ -45,6 +45,23 @@ std::vector<int> levelize_actions(const std::vector<std::vector<std::int32_t>>& 
                                   const std::vector<int>& after,
                                   std::vector<int>* cycle_out = nullptr);
 
+/// A level order laid out for the phase-2 walk (sched/phase2.h).
+struct LevelOrder {
+  std::vector<int> order;            ///< actions ascending by level, stable
+  std::vector<std::size_t> offsets;  ///< level l = order [offsets[l], offsets[l+1])
+  std::string reason;                ///< why there is none (empty when ordered)
+};
+
+/// Levelize actions (levelize_actions) and lay them out for the walk, or,
+/// when the graph is cyclic, name the cycle: "dependency cycle: a b", each
+/// component once (a dispatch component's decode and firing actions may
+/// both sit on it). Action `a` belongs to component `comp[a]`, named
+/// `names[comp[a]]`. Shared by Schedule::build and the compiled image.
+LevelOrder order_actions(const std::vector<std::vector<std::int32_t>>& needs,
+                         const std::vector<std::vector<std::int32_t>>& produces,
+                         const std::vector<int>& after, const std::vector<std::size_t>& comp,
+                         const std::vector<std::string>& names);
+
 /// A static phase-2 schedule for the interpreted cycle scheduler: an
 /// ordered list of try_fire attempts (dispatch components appear twice,
 /// once for decode/token-production and once for firing).
@@ -52,7 +69,7 @@ class Schedule {
  public:
   struct Slot {
     Component* comp = nullptr;
-    int level = 0;
+    std::size_t index = 0;  ///< comp's position in the component list
   };
 
   /// Levelize `comps`. The returned schedule is invalid (and reason() says
@@ -60,27 +77,26 @@ class Schedule {
   /// dependency graph has a cycle.
   static Schedule build(const std::vector<Component*>& comps);
 
-  bool valid() const { return valid_; }
+  bool valid() const { return !offsets_.empty(); }
   const std::string& reason() const { return reason_; }
 
   /// Phase-2 walk order, ascending by level.
   const std::vector<Slot>& order() const { return order_; }
-  int levels() const { return levels_; }
+  int levels() const { return valid() ? static_cast<int>(offsets_.size()) - 1 : 0; }
 
   /// Group boundaries of order() by level: level l spans order() indices
-  /// [offsets[l], offsets[l+1]). Size levels()+1; the level-parallel walk
-  /// partitions each span across worker lanes with a barrier per level.
+  /// [offsets[l], offsets[l+1]). Size levels()+1, empty when invalid; the
+  /// level-parallel walk partitions each span across worker lanes with a
+  /// barrier per level.
   const std::vector<std::size_t>& level_offsets() const { return offsets_; }
 
   /// Number of components the schedule was built for (staleness check).
   std::size_t component_count() const { return ncomps_; }
 
  private:
-  bool valid_ = false;
   std::string reason_;
   std::vector<Slot> order_;
   std::vector<std::size_t> offsets_;
-  int levels_ = 0;
   std::size_t ncomps_ = 0;
 };
 

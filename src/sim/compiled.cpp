@@ -1,6 +1,5 @@
 #include "sim/compiled.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "ckpt/snapshot.h"
@@ -17,8 +16,8 @@ void CompiledSystem::save_state(std::ostream& os) const {
   w.header(ckpt::EngineKind::kCompiledSystem, img_->ir_hash, cycles_);
   save_lane_body(w, 0);
   // Levelized-schedule cursor, mirroring the interpreted scheduler.
-  w.i32(sched_failures_);
-  w.u8(sched002_reported_ ? 1 : 0);
+  w.i32(core_.walk_misses);
+  w.u8(core_.sched002_reported ? 1 : 0);
   w.end();
 }
 
@@ -26,24 +25,16 @@ void CompiledSystem::restore_state_impl(std::istream& is) {
   ckpt::Reader r(is, "compiled simulator");
   const std::uint64_t cyc = r.header(ckpt::EngineKind::kCompiledSystem, img_->ir_hash);
   restore_lane_body(r, 0);
-  sched_failures_ = r.i32();
-  sched002_reported_ = r.u8() != 0;
+  core_.walk_misses = r.i32();
+  core_.sched002_reported = r.u8() != 0;
   r.end();
   cycles_ = cyc;
 }
 
 void CompiledSystem::restore_state(std::istream& is) {
-  // Transactional: roll back to a pre-restore snapshot on any failure so a
-  // bad stream leaves the simulator untouched.
-  std::ostringstream backup;
-  save_state(backup);
-  try {
-    restore_state_impl(is);
-  } catch (...) {
-    std::istringstream b(backup.str());
-    restore_state_impl(b);
-    throw;
-  }
+  ckpt::restore_or_roll_back(
+      is, [this](std::ostream& os) { save_state(os); },
+      [this](std::istream& in) { restore_state_impl(in); });
 }
 
 double CompiledSystem::net_value(const std::string& name) const {

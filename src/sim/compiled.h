@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "opt/options.h"
-#include "par/pool.h"
 #include "sched/cyclesched.h"
 #include "sched/fsmcomp.h"
 #include "sched/untimed.h"
@@ -46,10 +45,8 @@ class CompiledSystem : public LaneDriver<1> {
   /// Bit-identical to serial: within one level every tape writes disjoint
   /// slots. Untimed components' native closures must be thread-safe to
   /// run under threads > 1 (the system tapes themselves always are).
-  void set_threads(unsigned n) {
-    threads_ = n == 0 ? par::Pool::hardware_lanes() : n;
-  }
-  unsigned threads() const { return threads_; }
+  void set_threads(unsigned n) { core_.set_threads(n); }
+  unsigned threads() const { return core_.threads; }
 
   /// Why levelization failed (empty when levelizable()).
   const std::string& schedule_reason() const { return img_->sched_reason; }

@@ -56,7 +56,7 @@ void CompiledSystem::emit_cpp(std::ostream& os,
   }
   // Pinning the mode to kIterative before emit_cpp() drops the level walk:
   // the sweep loop alone then drives phase 2.
-  os << "    if (asicpp_jit_cycle(&st, " << (mode_ != ScheduleMode::kIterative)
+  os << "    if (asicpp_jit_cycle(&st, " << (core_.mode != ScheduleMode::kIterative)
      << ") < 0) {\n";
   os << "      if (st.deadlock == 2) {\n"
      << "        std::printf(\"ERROR at cycle %llu: component %s: unknown opcode "

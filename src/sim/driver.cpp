@@ -1,10 +1,7 @@
 #include "sim/driver.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "ckpt/snapshot.h"
@@ -86,10 +83,13 @@ constexpr unsigned kLane0[1] = {0};
 template <unsigned W>
 LaneDriver<W>::LaneDriver(std::shared_ptr<const Image> img, unsigned lanes,
                           const char* engine)
-    : img_(std::move(img)), lanes_(W != kRuntimeLanes ? W : lanes), engine_(engine) {
+    : img_(std::move(img)),
+      lanes_(W != kRuntimeLanes ? W : lanes),
+      core_(engine, /*threaded=*/W == 1) {
   if (lanes_ == 0)
     throw std::invalid_argument(std::string(engine) + ": lane count must be >= 1");
   const Image& m = *img_;
+  core_.max_iters = m.max_iters;
   const unsigned L = lanes_;
   const auto broadcast = [L](std::vector<double>& to, const std::vector<double>& from) {
     to.resize(from.size() * L);
@@ -276,14 +276,6 @@ bool LaneDriver<W>::blocked(std::size_t ci, unsigned lane) const {
 }
 
 template <unsigned W>
-bool LaneDriver<W>::any_blocked() const {
-  for (std::size_t ci = 0; ci < img_->comps.size(); ++ci)
-    for (unsigned l = 0; l < lanes(); ++l)
-      if (blocked(ci, l)) return true;
-  return false;
-}
-
-template <unsigned W>
 void LaneDriver<W>::invoke_untimed(std::size_t ci, unsigned lane) {
   const Comp& c = img_->comps[ci];
   std::vector<fixpt::Fixed>& in = c.untimed->inputs();
@@ -298,24 +290,24 @@ void LaneDriver<W>::invoke_untimed(std::size_t ci, unsigned lane) {
 template <unsigned W>
 void LaneDriver<W>::unknown_opcode(std::size_t ci, long long opcode,
                                    unsigned lane) const {
-  throw std::logic_error(std::string(engine_) + " '" + img_->comps[ci].name +
+  throw std::logic_error(std::string(core_.origin) + " '" + img_->comps[ci].name +
                          "': unknown opcode " + std::to_string(opcode) +
                          " and no default" +
                          (lanes() > 1 ? " (lane " + std::to_string(lane) + ")" : ""));
 }
 
-// Fire component `ci` in every lane that is ready. Returns progress: a lane
-// fired, or a dispatch lane decoded its instruction.
+// Fire component `ci` in every lane that is ready. Progress is a lane
+// firing, or a dispatch lane decoding its instruction.
 template <unsigned W>
-bool LaneDriver<W>::fire(std::size_t ci) {
+sched::Fired LaneDriver<W>::fire(std::size_t ci) {
   const Comp& c = img_->comps[ci];
   const auto i = static_cast<std::int32_t>(ci);
   int* fired = fired_.data() + idx(i);
-  bool progress = false;
+  sched::Fired f;
   const auto fired_group = [&](Group g) {
     for (const unsigned l : g) fired[l] = 1;
-    fired_total_.add(g.size());
-    progress = true;
+    f.firings += static_cast<int>(g.size());
+    f.progress = true;
   };
   switch (c.kind) {
     case Kind::kFsm: {
@@ -360,7 +352,7 @@ bool LaneDriver<W>::fire(std::size_t ci) {
           [&](Group g, std::uint64_t s) {
             for (const unsigned l : g) sel[l] = static_cast<int>(s);
             run_pre(static_cast<std::int32_t>(s), g);
-            progress = true;
+            f.progress = true;
           });
       for_groups([&](unsigned l) { return fired[l] == 0 && sel[l] >= 0 && ready(sel[l], l); },
                  [&](unsigned l) { return static_cast<std::uint64_t>(sel[l]); },
@@ -380,24 +372,12 @@ bool LaneDriver<W>::fire(std::size_t ci) {
         if (!ok) continue;
         invoke_untimed(ci, l);
         fired[l] = 1;
-        fired_total_.add();
-        progress = true;
+        ++f.firings;
+        f.progress = true;
       }
       break;
   }
-  return progress;
-}
-
-template <unsigned W>
-bool LaneDriver<W>::try_fire(std::size_t ci) {
-  if (!profile_) return fire(ci);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t before = fired_total_.get();
-  const bool progress = fire(ci);
-  auto& e = prof_[ci];
-  e.second += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  e.first += fired_total_.get() - before;
-  return progress;
+  return f;
 }
 
 // ---------------------------------------------------------------------------
@@ -477,75 +457,6 @@ void LaneDriver<W>::produce_tokens() {
 }
 
 template <unsigned W>
-void LaneDriver<W>::evaluate() {
-  const Image& m = *img_;
-  bool need_iterative = true;
-  bool walk_missed = false;
-  if (mode_ != ScheduleMode::kIterative && m.levelizable && sched_failures_ < 2) {
-    // Profiled runs stay serial (the timing table is single-owner), as
-    // does a system already running on a pool lane.
-    bool walked = false;
-    if constexpr (W == 1) {
-      if (threads_ > 1 && !profile_ && !par::Pool::in_parallel_region()) {
-        walk_levels_parallel(m, threads_, [&](std::size_t k) {
-          const auto ci = static_cast<std::size_t>(m.level_order[k].comp);
-          if (!done(ci)) fire(ci);
-        });
-        walked = true;
-      }
-    }
-    if (!walked) {
-      for (const auto& s : m.level_order) {
-        const auto ci = static_cast<std::size_t>(s.comp);
-        if (!done(ci)) try_fire(ci);
-      }
-    }
-    need_iterative = walk_missed = any_blocked();
-    if (!need_iterative) {
-      ++levelized_cycles_total_;
-      sched_failures_ = 0;
-    }
-  } else if (mode_ == ScheduleMode::kLevelized && !m.levelizable && !sched002_reported_) {
-    auto& d = diagnostics().warning(
-        "SCHED-002", engine_,
-        "levelized schedule requested but the system cannot be statically "
-        "ordered (" + m.sched_reason + "); running iteratively");
-    d.cycle = cycles_;
-    sched002_reported_ = true;
-  }
-  if (!need_iterative) return;
-
-  // Iterative sweep (also the fallback after a missed walk).
-  int iters = walk_missed ? 1 : 0;
-  for (;;) {
-    bool progress = false;
-    bool all_done = true;
-    for (std::size_t ci = 0; ci < m.comps.size(); ++ci) {
-      if (done(ci)) continue;
-      if (try_fire(ci)) progress = true;
-      if (!done(ci)) all_done = false;
-    }
-    ++iters;
-    if (iters > 1) ++retry_passes_total_;
-    if (all_done) break;
-    if (!progress || iters >= m.max_iters) {
-      if (any_blocked()) deadlock();
-      break;
-    }
-  }
-  if (walk_missed) {
-    ++sched_failures_;
-    auto& d = diagnostics().warning(
-        "SCHED-002", engine_,
-        "schedule invalidated: the static level walk left components "
-        "unfired; cycle recovered iteratively" +
-            std::string(sched_failures_ >= 2 ? " (repeat miss — reverting to iterative mode)"
-                                             : ""));
-    d.cycle = cycles_;
-  }
-}
-
-template <unsigned W>
 void LaneDriver<W>::commit() {
   for (std::size_t ci = 0; ci < img_->comps.size(); ++ci) {
     const Comp& c = img_->comps[ci];
@@ -582,55 +493,32 @@ void LaneDriver<W>::commit() {
   }
 }
 
+// Phase-2 access policy (sched/phase2.h): component ci across every lane.
+template <unsigned W>
+struct LaneDriver<W>::Access {
+  LaneDriver& d;
+  const Image::SchedSlot* order = d.img_->level_order.data();
+
+  std::size_t count() const { return d.img_->comps.size(); }
+  bool done(std::size_t ci) const { return d.done(ci); }
+  sched::Fired fire(std::size_t ci) { return d.fire(ci); }
+  bool blocked(std::size_t ci) const {
+    for (unsigned l = 0; l < d.lanes(); ++l)
+      if (d.blocked(ci, l)) return true;
+    return false;
+  }
+  std::size_t slot(std::size_t k) const { return static_cast<std::size_t>(order[k].comp); }
+  diag::Diagnostic postmortem() const { return d.postmortem(); }
+};
+
 template <unsigned W>
 void LaneDriver<W>::cycle() {
   begin_cycle();
   select_transitions();  // phase 0
   produce_tokens();      // phase 1
-  evaluate();            // phase 2
+  core_.evaluate(Access{*this}, img_->level_offsets, img_->sched_reason, cycles_);  // phase 2
   commit();              // phase 3
   ++cycles_;
-}
-
-template <unsigned W>
-RunResult LaneDriver<W>::run_steps(const RunOptions& opts, const char* engine,
-                                   const std::function<void()>& step) {
-  struct Restore {
-    LaneDriver* s;
-    diag::DiagEngine* diag;
-    ScheduleMode mode;
-    unsigned threads;
-    ~Restore() {
-      s->diag_ = diag;
-      s->mode_ = mode;
-      s->threads_ = threads;
-      s->profile_ = false;
-    }
-  } restore{this, diag_, mode_, threads_};
-  if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
-  mode_ = opts.schedule;
-  // The lane loop is the runtime width's parallelism; only the solo
-  // engine partitions the level walk across threads.
-  if constexpr (W == 1)
-    threads_ = opts.nthreads == 0 ? par::Pool::hardware_lanes() : opts.nthreads;
-  profile_ = opts.profile;
-  if (profile_) prof_.assign(img_->comps.size(), {0, 0.0});
-
-  RunResult r = run_cycles(
-      opts, engine, diagnostics(), watchdog_tripped_,
-      [&] {
-        return CycleTotals{cycles_, fired_total_.get(), retry_passes_total_,
-                           levelized_cycles_total_};
-      },
-      step);
-  if (opts.profile) {
-    for (std::size_t i = 0; i < img_->comps.size(); ++i) {
-      if (prof_[i].first == 0 && prof_[i].second == 0.0) continue;
-      r.timing.push_back(
-          ComponentTiming{img_->comps[i].name, prof_[i].first, prof_[i].second});
-    }
-  }
-  return r;
 }
 
 template <unsigned W>
@@ -676,21 +564,13 @@ void LaneDriver<W>::save_lane_body(ckpt::Writer& w, unsigned lane) const {
 template <unsigned W>
 void LaneDriver<W>::restore_lane_body(ckpt::Reader& r, unsigned lane) {
   const Image& m = *img_;
-  const auto expect = [&r](std::size_t limit, std::size_t want, const char* what) {
-    const std::size_t got = r.count(limit);
-    if (got != want) {
-      r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-             {"snapshot carries " + std::to_string(got) + " " + what +
-              ", this image has " + std::to_string(want)});
-    }
-  };
-  expect(1u << 26, m.init_slots.size(), "slot(s)");
+  r.count(1u << 26, m.init_slots.size(), "slot(s), this image has");
   for (std::size_t s = 0; s < m.init_slots.size(); ++s)
     lane_slots(static_cast<std::int32_t>(s))[lane] = r.f64();
-  expect(1u << 26, m.nets.size(), "net token flag(s)");
+  r.count(1u << 26, m.nets.size(), "net token flag(s), this image has");
   for (std::size_t n = 0; n < m.nets.size(); ++n)
     tokens(static_cast<std::int32_t>(n))[lane] = r.u8();
-  expect(1u << 24, m.comps.size(), "component(s)");
+  r.count(1u << 24, m.comps.size(), "component(s), this image has");
   for (std::size_t ci = 0; ci < m.comps.size(); ++ci) {
     const Comp& c = m.comps[ci];
     const std::int32_t state = r.i32();
@@ -713,144 +593,69 @@ void LaneDriver<W>::restore_lane_body(ckpt::Reader& r, unsigned lane) {
 // ---------------------------------------------------------------------------
 // Deadlock post-mortem
 
+// Component `ci` in `lane` as the post-mortem sees it: the nets it waits
+// on and the nets it would drive if it fired.
 template <unsigned W>
-std::vector<std::int32_t> LaneDriver<W>::waiting_nets(std::size_t ci,
-                                                      unsigned lane) const {
+sched::Blocked LaneDriver<W>::blocked_info(std::size_t ci, unsigned lane) const {
   const Comp& c = img_->comps[ci];
   const std::size_t k = idx(static_cast<std::int32_t>(ci)) + lane;
-  std::vector<std::int32_t> nets;
-  const auto missing_of = [&](std::int32_t sfg) {
-    for (const auto n : img_->sfgs[static_cast<std::size_t>(sfg)].required_nets)
-      if (tokens(n)[lane] == 0) nets.push_back(n);
+  sched::Blocked b{c.name, {}, {}};
+  const auto wait_on = [&](std::int32_t n) {
+    if (tokens(n)[lane] == 0) b.waits.push_back(img_->net_names[static_cast<std::size_t>(n)]);
   };
-  switch (c.kind) {
-    case Kind::kFsm:
-      if (pending_[k] >= 0)
-        for (const auto id : transition(c, state_[k], pending_[k]).sfgs) missing_of(id);
-      break;
-    case Kind::kSfg: missing_of(c.solo_sfg); break;
-    case Kind::kDispatch:
-      if (sel_[k] >= 0) {
-        missing_of(sel_[k]);
-      } else if (tokens(c.instr_net)[lane] == 0) {
-        nets.push_back(c.instr_net);
-      }
-      break;
-    case Kind::kUntimed:
-      for (const auto n : c.in_nets)
-        if (tokens(n)[lane] == 0) nets.push_back(n);
-      break;
-  }
-  return nets;
-}
-
-template <unsigned W>
-std::vector<std::int32_t> LaneDriver<W>::pending_outputs(std::size_t ci,
-                                                         unsigned lane) const {
-  const Comp& c = img_->comps[ci];
-  const std::size_t k = idx(static_cast<std::int32_t>(ci)) + lane;
-  std::vector<std::int32_t> nets;
-  const auto pushes_of = [&](std::int32_t sfg) {
+  const auto drive = [&](std::int32_t n) {
+    b.outputs.push_back(img_->net_names[static_cast<std::size_t>(n)]);
+  };
+  const auto outputs_of = [&](std::int32_t sfg) {
     const Image::SfgCode& s = img_->sfgs[static_cast<std::size_t>(sfg)];
-    for (const auto& p : s.pre_pushes) nets.push_back(p.net);
-    for (const auto& p : s.main_pushes) nets.push_back(p.net);
+    for (const auto& p : s.pre_pushes) drive(p.net);
+    for (const auto& p : s.main_pushes) drive(p.net);
+  };
+  const auto sfg = [&](std::int32_t id) {
+    for (const auto n : img_->sfgs[static_cast<std::size_t>(id)].required_nets) wait_on(n);
+    outputs_of(id);
   };
   switch (c.kind) {
     case Kind::kFsm:
       if (pending_[k] >= 0)
-        for (const auto id : transition(c, state_[k], pending_[k]).sfgs) pushes_of(id);
+        for (const auto id : transition(c, state_[k], pending_[k]).sfgs) sfg(id);
       break;
-    case Kind::kSfg: pushes_of(c.solo_sfg); break;
+    case Kind::kSfg: sfg(c.solo_sfg); break;
     case Kind::kDispatch:
       if (sel_[k] >= 0) {
-        pushes_of(sel_[k]);
+        sfg(sel_[k]);
       } else {
-        c.table.for_each(pushes_of);
+        wait_on(c.instr_net);
+        c.table.for_each(outputs_of);
       }
       break;
     case Kind::kUntimed:
-      nets = c.out_nets;
+      for (const auto n : c.in_nets) wait_on(n);
+      for (const auto n : c.out_nets) drive(n);
       break;
   }
-  return nets;
+  return b;
 }
 
-// Names the first deadlocked lane's unfired components, what each waits
-// on, the dependency cycle among them, and the involved nets' last values.
+// The first deadlocked lane's post-mortem, naming the lane when there is
+// more than one.
 template <unsigned W>
 diag::Diagnostic LaneDriver<W>::postmortem() const {
   const Image& m = *img_;
   unsigned lane = 0;
-  while (lane + 1 < lanes()) {
-    bool any = false;
-    for (std::size_t ci = 0; ci < m.comps.size() && !any; ++ci) any = blocked(ci, lane);
-    if (any) break;
-    ++lane;
+  std::vector<sched::Blocked> stuck;
+  for (;; ++lane) {
+    for (std::size_t ci = 0; ci < m.comps.size(); ++ci)
+      if (blocked(ci, lane)) stuck.push_back(blocked_info(ci, lane));
+    if (!stuck.empty() || lane + 1 == lanes()) break;
   }
-  std::vector<std::size_t> stuck;
-  for (std::size_t ci = 0; ci < m.comps.size(); ++ci)
-    if (blocked(ci, lane)) stuck.push_back(ci);
-
-  diag::Diagnostic d;
-  d.severity = diag::Severity::kFatal;
-  d.code = "SCHED-001";
-  d.component = engine_;
-  d.cycle = cycles_;
-  std::string names;
-  for (const auto ci : stuck) names += (names.empty() ? "" : ", ") + m.comps[ci].name;
-  d.message = "combinational deadlock, unfired components: " + names;
+  diag::Diagnostic d = sched::deadlock_postmortem(
+      core_.origin, cycles_, std::move(stuck), [&](const std::string& name) {
+        const std::int32_t n = m.net_ids.at(name);
+        return sched::NetState{net_values(n)[lane], tokens(n)[lane] != 0};
+      });
   if (lanes() > 1) d.message += " (lane " + std::to_string(lane) + ")";
-
-  const auto net_name = [&](std::int32_t n) {
-    return m.net_names[static_cast<std::size_t>(n)];
-  };
-  std::set<std::int32_t> involved;
-  for (const auto ci : stuck) {
-    std::string waits;
-    for (const auto n : waiting_nets(ci, lane)) {
-      involved.insert(n);
-      waits += (waits.empty() ? "" : ", ") + ("'" + net_name(n) + "'");
-    }
-    d.note("component '" + m.comps[ci].name + "' waits on net" +
-           (waits.empty() ? "s: (none — iteration bound too low?)" : "(s): " + waits));
-  }
-
-  std::vector<std::vector<int>> adj(stuck.size());
-  for (std::size_t i = 0; i < stuck.size(); ++i)
-    for (const auto n : waiting_nets(stuck[i], lane))
-      for (std::size_t j = 0; j < stuck.size(); ++j) {
-        if (i == j) continue;
-        for (const auto p : pending_outputs(stuck[j], lane))
-          if (p == n) adj[i].push_back(static_cast<int>(j));
-      }
-  const auto cyc = diag::find_cycle(adj);
-  if (!cyc.empty()) {
-    const auto at = [&](std::size_t k) { return stuck[static_cast<std::size_t>(cyc[k])]; };
-    std::string chain = m.comps[at(0)].name;
-    for (std::size_t k = 1; k < cyc.size(); ++k) {
-      std::string via;
-      for (const auto n : waiting_nets(at(k - 1), lane))
-        for (const auto p : pending_outputs(at(k), lane))
-          if (p == n) via = net_name(n);
-      chain += " -[" + via + "]-> " + m.comps[at(k)].name;
-    }
-    d.note("dependency cycle: " + chain);
-  }
-
-  for (const auto n : involved) {
-    std::ostringstream os;
-    os << "net '" << net_name(n) << "' last value = " << net_values(n)[lane]
-       << (tokens(n)[lane] != 0 ? " (token present)" : " (no token this cycle)");
-    d.note(os.str());
-  }
   return d;
-}
-
-template <unsigned W>
-void LaneDriver<W>::deadlock() {
-  diag::Diagnostic d = postmortem();
-  diagnostics().report(d);
-  throw sched::DeadlockError(std::move(d));
 }
 
 template class LaneDriver<1>;

@@ -20,10 +20,8 @@
 //   prologue  clear net tokens, apply pin drives, refresh unbound inputs
 //   phase 0   FSM transition selection; guards run up to the first true one
 //   phase 1   token production (pre tapes of pending transitions and SFGs)
-//   phase 2   the static level walk, then the iterative sweep for whatever
-//             it left unfired; a walk that misses twice in a row is turned
-//             off (SCHED-002). No progress with a component still blocked
-//             is a combinational deadlock (SCHED-001 post-mortem).
+//   phase 2   the shared core (sched/phase2.h) over every lane: the level
+//             walk, the sweep for whatever it left, SCHED-001/002
 //   phase 3   register commits and FSM state advance of the fired lanes
 //
 // Two widths are instantiated. LaneDriver<1> is sim::CompiledSystem: with
@@ -35,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -45,6 +42,7 @@
 
 #include "diag/diag.h"
 #include "par/pool.h"
+#include "sched/phase2.h"
 #include "sched/run.h"
 #include "sim/image.h"
 
@@ -57,28 +55,6 @@ namespace asicpp::sim {
 
 /// LaneDriver width whose lane count is chosen at construction.
 inline constexpr unsigned kRuntimeLanes = 0;
-
-/// Levels of the static order at least this wide are partitioned across
-/// the pool by the level-parallel walk.
-inline constexpr std::size_t kMinParallelWidth = 4;
-
-/// Call `fire_slot(k)` for every slot k of `img`'s level order, level by
-/// level with a barrier between levels; levels at least kMinParallelWidth
-/// wide are partitioned across `threads` pool lanes. Bit-identical to the
-/// serial walk: within one level every slot reads what earlier levels
-/// wrote and pushes disjoint nets.
-template <class Fn>
-void walk_levels_parallel(const Image& img, unsigned threads, Fn&& fire_slot) {
-  for (std::size_t l = 0; l + 1 < img.level_offsets.size(); ++l) {
-    const std::size_t b = img.level_offsets[l], e = img.level_offsets[l + 1];
-    if (e - b < kMinParallelWidth) {
-      for (std::size_t k = b; k < e; ++k) fire_slot(k);
-    } else {
-      par::Pool::shared().parallel_for(
-          e - b, [&](std::size_t k) { fire_slot(b + k); }, threads);
-    }
-  }
-}
 
 template <unsigned W>
 class LaneDriver {
@@ -93,7 +69,7 @@ class LaneDriver {
   /// hooks (sched/run.h). RunResult::firings and the per-component
   /// timing count lane firings.
   RunResult run(const RunOptions& opts) {
-    return run_steps(opts, engine_, [this] { cycle(); });
+    return run_steps(opts, [this] { cycle(); });
   }
 
   unsigned lanes() const { return W != kRuntimeLanes ? W : lanes_; }
@@ -104,14 +80,14 @@ class LaneDriver {
   const opt::PassStats& pass_stats() const { return img_->pass_stats; }
 
   /// Phase-2 evaluation order policy for cycle() calls outside run().
-  void set_schedule_mode(ScheduleMode m) { mode_ = m; }
-  ScheduleMode schedule_mode() const { return mode_; }
+  void set_schedule_mode(ScheduleMode m) { core_.mode = m; }
+  ScheduleMode schedule_mode() const { return core_.mode; }
   /// True when compile() found a valid level order for the system.
   bool levelizable() const { return img_->levelizable; }
 
-  void attach_diagnostics(diag::DiagEngine& de) { diag_ = &de; }
-  diag::DiagEngine& diagnostics() { return diag_ != nullptr ? *diag_ : own_diag_; }
-  bool watchdog_tripped() const { return watchdog_tripped_; }
+  void attach_diagnostics(diag::DiagEngine& de) { core_.attach_diagnostics(de); }
+  diag::DiagEngine& diagnostics() { return core_.diagnostics(); }
+  bool watchdog_tripped() const { return core_.watchdog_tripped; }
 
   /// Restore every lane's registers and FSM states to their reset values.
   void reset();
@@ -150,18 +126,20 @@ class LaneDriver {
   /// Clear net tokens, apply the live nets' pin drives to every lane and
   /// rewrite unbound inputs from their per-lane refresh values.
   void begin_cycle();
-  /// Report the SCHED-001 post-mortem and throw sched::DeadlockError.
-  [[noreturn]] void deadlock();
+  /// The SCHED-001 post-mortem of the first deadlocked lane.
+  diag::Diagnostic postmortem() const;
   /// Throw std::logic_error for a dispatch opcode with no table entry.
   [[noreturn]] void unknown_opcode(std::size_t ci, long long opcode, unsigned lane) const;
   /// Run untimed component `ci`'s native closure on `lane`'s inputs and
   /// push its outputs.
   void invoke_untimed(std::size_t ci, unsigned lane);
-  /// run() with `step` simulating each cycle and `engine` naming the
-  /// watchdog reports: applies the scoped overrides of `opts` (diagnostics,
-  /// schedule mode, threads at width 1, profile) around run_cycles.
-  RunResult run_steps(const RunOptions& opts, const char* engine,
-                      const std::function<void()>& step);
+  /// run() with `step` simulating each cycle (sched::Phase2::run).
+  template <class Step>
+  RunResult run_steps(const RunOptions& opts, const Step& step) {
+    return core_.run(
+        opts, img_->comps.size(), [this] { return cycles_; }, step,
+        [this](std::size_t i) { return img_->comps[i].name; });
+  }
   /// The snapshot body shared by both formats: lane `lane`'s slots, net
   /// tokens and per-component state (FSM state, untimed firing count).
   /// Reading checks every count and FSM state index (CKPT-004).
@@ -170,7 +148,6 @@ class LaneDriver {
 
   std::shared_ptr<const Image> img_;
   unsigned lanes_;
-  const char* engine_;
 
   // Runtime state, outer index the image's slot/net/component index.
   std::vector<double> slots_;
@@ -191,30 +168,22 @@ class LaneDriver {
   };
   using Counter = std::conditional_t<W == 1, par::RelaxedCounter, PlainCounter>;
   Counter ops_;
-  Counter fired_total_;
-  std::uint64_t retry_passes_total_ = 0;
-  std::uint64_t levelized_cycles_total_ = 0;
-  ScheduleMode mode_ = ScheduleMode::kAuto;
-  /// Level-parallel walk lanes (width 1 only; see CompiledSystem).
-  unsigned threads_ = 1;
-  int sched_failures_ = 0;  // walk misses in a row; >= 2 disables the walk
-  bool sched002_reported_ = false;
-  diag::DiagEngine* diag_ = nullptr;
-  diag::DiagEngine own_diag_;
-  bool watchdog_tripped_ = false;
+  /// Phase 2 and the run-scoped state. Only the solo width takes
+  /// RunOptions::nthreads: the runtime width's fire() shares its grouping
+  /// scratch, and its lane loop is its parallelism.
+  sched::Phase2 core_;
 
  private:
+  struct Access;  // the phase-2 access policy (driver.cpp)
+
   std::size_t idx(std::int32_t i) const { return static_cast<std::size_t>(i) * lanes(); }
 
   void select_transitions();
   void produce_tokens();
-  void evaluate();
   void commit();
-  bool fire(std::size_t ci);
-  bool try_fire(std::size_t ci);  ///< fire(), timed when profiling
+  sched::Fired fire(std::size_t ci);
   bool done(std::size_t ci) const;
   bool blocked(std::size_t ci, unsigned lane) const;
-  bool any_blocked() const;
   bool ready(std::int32_t sfg, unsigned lane) const;
   const Image::GuardedTransition& transition(const Comp& c, int state, int pending) const;
   void run_tape(const Tape& tape);
@@ -225,12 +194,7 @@ class LaneDriver {
   Group all_lanes() const;
   template <class Pred, class Key, class Fn>
   void for_groups(Pred pred, Key key, Fn fn);
-  std::vector<std::int32_t> waiting_nets(std::size_t ci, unsigned lane) const;
-  std::vector<std::int32_t> pending_outputs(std::size_t ci, unsigned lane) const;
-  diag::Diagnostic postmortem() const;
-
-  bool profile_ = false;
-  std::vector<std::pair<std::uint64_t, double>> prof_;  // per component
+  sched::Blocked blocked_info(std::size_t ci, unsigned lane) const;
 
   // Grouping scratch of the runtime width, reused so steady-state cycles
   // allocate nothing.

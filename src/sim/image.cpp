@@ -252,59 +252,56 @@ std::shared_ptr<const Image> Image::compile(const sched::CycleScheduler& sched,
 }
 
 void Image::build_schedule() {
-  // Mirror of sched::Schedule::build over the compiled structures: one
-  // action per component, two for dispatch (decode performs the deferred
-  // pre-pushes, the firing orders after it). FSM pre-pushes run in phase 1
-  // and impose no ordering, so only main_pushes count as products there.
-  std::vector<std::pair<std::int32_t, bool>> act;  // comp index, is_decode
+  // The compiled structures' action graph, laid out by the same helper as
+  // sched::Schedule::build: one action per component, two for dispatch
+  // (decode performs the deferred pre-pushes, the firing orders after it).
+  // FSM pre-pushes run in phase 1 and impose no ordering, so only
+  // main_pushes count as products there.
+  std::vector<std::size_t> act_comp;
+  std::vector<bool> act_decode;
   std::vector<std::vector<std::int32_t>> needs;
   std::vector<std::vector<std::int32_t>> produces;
   std::vector<int> after;
+  std::vector<std::string> names;
 
   const auto dedup = [](std::vector<std::int32_t>& v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
   };
-  const auto sfg_needs = [&](std::int32_t id, std::vector<std::int32_t>& v) {
-    for (const auto n : sfgs[static_cast<std::size_t>(id)].required_nets) v.push_back(n);
-  };
-  const auto sfg_main_products = [&](std::int32_t id, std::vector<std::int32_t>& v) {
-    for (const auto& p : sfgs[static_cast<std::size_t>(id)].main_pushes) v.push_back(p.net);
-  };
-  const auto sfg_pre_products = [&](std::int32_t id, std::vector<std::int32_t>& v) {
-    for (const auto& p : sfgs[static_cast<std::size_t>(id)].pre_pushes) v.push_back(p.net);
+  // An SFG's required nets, and its phase-2 (main) products.
+  const auto sfg_deps = [&](std::int32_t id, std::vector<std::int32_t>& req,
+                            std::vector<std::int32_t>& prod) {
+    const SfgCode& s = sfgs[static_cast<std::size_t>(id)];
+    req.insert(req.end(), s.required_nets.begin(), s.required_nets.end());
+    for (const auto& p : s.main_pushes) prod.push_back(p.net);
   };
 
   for (std::size_t i = 0; i < comps.size(); ++i) {
     const Comp& c = comps[i];
+    names.push_back(c.name);
     std::vector<std::int32_t> req;
     std::vector<std::int32_t> prod;
     int decode_idx = -1;
     switch (c.kind) {
       case Kind::kFsm:
-        for (const auto& st : c.by_state) {
-          for (const auto& gt : st) {
-            for (const auto id : gt.sfgs) {
-              sfg_needs(id, req);
-              sfg_main_products(id, prod);
-            }
-          }
-        }
+        for (const auto& st : c.by_state)
+          for (const auto& gt : st)
+            for (const auto id : gt.sfgs) sfg_deps(id, req, prod);
         break;
       case Kind::kSfg:
-        sfg_needs(c.solo_sfg, req);
-        sfg_main_products(c.solo_sfg, prod);
+        sfg_deps(c.solo_sfg, req, prod);
         break;
       case Kind::kDispatch: {
         std::vector<std::int32_t> dprod;
         c.table.for_each([&](std::int32_t id) {
-          sfg_needs(id, req);
-          sfg_main_products(id, prod);
-          sfg_pre_products(id, dprod);
+          sfg_deps(id, req, prod);
+          for (const auto& p : sfgs[static_cast<std::size_t>(id)].pre_pushes)
+            dprod.push_back(p.net);
         });
         dedup(dprod);
-        decode_idx = static_cast<int>(act.size());
-        act.emplace_back(static_cast<std::int32_t>(i), true);
+        decode_idx = static_cast<int>(act_comp.size());
+        act_comp.push_back(i);
+        act_decode.push_back(true);
         needs.push_back({c.instr_net});
         produces.push_back(std::move(dprod));
         after.push_back(-1);
@@ -317,38 +314,25 @@ void Image::build_schedule() {
     }
     dedup(req);
     dedup(prod);
-    act.emplace_back(static_cast<std::int32_t>(i), false);
+    act_comp.push_back(i);
+    act_decode.push_back(false);
     needs.push_back(std::move(req));
     produces.push_back(std::move(prod));
     after.push_back(decode_idx);
   }
 
-  std::vector<int> cyc;
-  const std::vector<int> levels = sched::levelize_actions(needs, produces, after, &cyc);
-  if (levels.size() != act.size()) {
-    std::string msg = "dependency cycle:";
-    for (const int a : cyc) {
-      const std::string& name = comps[static_cast<std::size_t>(act[static_cast<std::size_t>(a)].first)].name;
-      if (msg.rfind(name) == std::string::npos) msg += " " + name;
-    }
-    sched_reason = msg;
+  sched::LevelOrder lo = sched::order_actions(needs, produces, after, act_comp, names);
+  if (!lo.reason.empty()) {
+    sched_reason = std::move(lo.reason);
     return;
   }
-  std::vector<int> idx(act.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](int a, int b) { return levels[a] < levels[b]; });
-  level_order.reserve(idx.size());
-  for (const int i : idx) {
-    level_order.push_back(SchedSlot{act[static_cast<std::size_t>(i)].first,
-                                     act[static_cast<std::size_t>(i)].second, levels[i]});
-    sched_levels = std::max(sched_levels, levels[i] + 1);
+  level_order.reserve(lo.order.size());
+  for (const int a : lo.order) {
+    const auto k = static_cast<std::size_t>(a);
+    level_order.push_back(SchedSlot{static_cast<std::int32_t>(act_comp[k]), act_decode[k]});
   }
-  level_offsets.assign(static_cast<std::size_t>(sched_levels) + 1,
-                        level_order.size());
-  for (std::size_t i = level_order.size(); i-- > 0;)
-    level_offsets[static_cast<std::size_t>(level_order[i].level)] = i;
-  if (!level_offsets.empty()) level_offsets[0] = 0;
+  level_offsets = std::move(lo.offsets);
+  sched_levels = static_cast<int>(level_offsets.size()) - 1;
   levelizable = true;
 }
 

@@ -90,7 +90,6 @@ struct Image {
   struct SchedSlot {
     std::int32_t comp;
     bool decode;
-    int level;
   };
 
   /// Translate every component and net of `sched` into tape form, running
@@ -125,7 +124,7 @@ struct Image {
 
   // Static schedule.
   std::vector<SchedSlot> level_order;
-  std::vector<std::size_t> level_offsets;  ///< level l = order [l, l+1)
+  std::vector<std::size_t> level_offsets;  ///< level l = order [l, l+1); empty when not levelizable
   bool levelizable = false;
   int sched_levels = 0;
   std::string sched_reason;  ///< why levelization failed

@@ -78,22 +78,10 @@ void Recorder::save_state(std::ostream& os) const {
 void Recorder::restore_state(std::istream& is) {
   ckpt::Reader r(is, "recorder");
   const std::uint64_t cyc = r.header(ckpt::EngineKind::kRecorder, state_hash());
-  const std::size_t ntraces = r.count(1u << 20);
-  if (ntraces != traces_.size()) {
-    r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-           {"snapshot carries " + std::to_string(ntraces) +
-            " trace(s), this recorder watches " +
-            std::to_string(traces_.size())});
-  }
   std::vector<Trace> staged;
-  staged.reserve(ntraces);
+  staged.reserve(r.count(1u << 20, traces_.size(), "trace(s), this recorder watches"));
   for (const Trace& t : traces_) {
-    const std::string name = r.str();
-    if (name != t.net) {
-      r.fail("CKPT-004", "truncated or corrupt snapshot stream",
-             {"trace record names '" + name + "' where '" + t.net +
-              "' was expected"});
-    }
+    r.name("trace", t.net);
     Trace nt{t.net, {}, {}};
     const std::size_t n = r.count(1u << 26);
     nt.values.reserve(n);

@@ -246,8 +246,12 @@ struct StaticCycle {
 };
 
 TEST(Batched, LevelizedRequestOnCyclicImageReportsSched002Once) {
-  StaticCycle ref, sys;
+  StaticCycle interp, ref, jsys, sys;
   sim::CompiledSystem cs = sim::CompiledSystem::compile(ref.sched);
+  jit::JitOptions jo;
+  jo.cache_dir = ::testing::TempDir() + "/batch_sched002_store";
+  jit::JitSystem js = jit::JitSystem::compile(jsys.sched, {}, jo);
+  EXPECT_TRUE(js.native()) << "jit fell back to the tape";
   BatchedSystem bs = BatchedSystem::compile(sys.sched, 4);
   ASSERT_FALSE(bs.levelizable());
   const auto run = [](auto& engine) {
@@ -260,8 +264,12 @@ TEST(Batched, LevelizedRequestOnCyclicImageReportsSched002Once) {
     for (const auto& d : de.all()) sched002 += d.code == "SCHED-002" ? 1 : 0;
     return sched002;
   };
+  EXPECT_EQ(run(interp.sched), 1);
   EXPECT_EQ(run(cs), 1);
+  EXPECT_EQ(run(js), 1);
   EXPECT_EQ(run(bs), 1);
+  EXPECT_EQ(interp.sched.net("back").last().value(), cs.net_value("back"));
+  EXPECT_EQ(js.net_value("back"), cs.net_value("back"));
   for (unsigned l = 0; l < 4; ++l)
     EXPECT_EQ(bs.net_value(l, "back"), cs.net_value("back")) << "lane " << l;
 }

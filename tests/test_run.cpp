@@ -1,7 +1,8 @@
 // One run() contract for every cycle engine. The interpreted scheduler,
 // the compiled tape, the JIT and the batched evaluator share one run loop
-// (run_cycles, sched/run.h), so a cycle budget, a wall-clock limit, the
-// checkpoint cadence and on_cycle_end must behave the same on each.
+// and one phase-2 core (sched::Phase2, sched/phase2.h), so a cycle budget,
+// a wall-clock limit, the checkpoint cadence, on_cycle_end, the SCHED-001/
+// 002 texts and the level-parallel walk must behave the same on each.
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -12,6 +13,7 @@
 
 #include "batch/batch.h"
 #include "diag/diag.h"
+#include "fsm/fsm.h"
 #include "jit/jit.h"
 #include "sched/cyclesched.h"
 #include "sched/fsmcomp.h"
@@ -22,17 +24,48 @@
 namespace asicpp {
 namespace {
 
+using sfg::Sig;
+
 const fixpt::Format kFmt{16, 7, true, fixpt::Quant::kRound,
                          fixpt::Overflow::kSaturate};
 
 struct EngineCase {
   const char* engine;  ///< test parameter name
-  const char* origin;  ///< component field of its watchdog diagnostics
+  const char* origin;  ///< component field of its diagnostics
 };
 
 // ctest names each case after how gtest prints its parameter. Printed as
 // raw bytes, that is two string addresses, which move on every link.
 void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.engine; }
+
+using RunFn = std::function<RunResult(const RunOptions&)>;
+
+/// `engine`'s run() over the system assembled on `sched`. The interpreted
+/// cases pin their schedule mode; the compiled, jit and (4-lane) batched
+/// engines are built from `sched` and honour the requested one.
+RunFn engine_run(const std::string& engine, sched::CycleScheduler& sched) {
+  if (engine == "iterative" || engine == "levelized") {
+    const ScheduleMode m =
+        engine == "iterative" ? ScheduleMode::kIterative : ScheduleMode::kLevelized;
+    return [&sched, m](const RunOptions& o) {
+      RunOptions pinned = o;
+      return sched.run(pinned.mode(m));
+    };
+  }
+  if (engine == "compiled") {
+    auto cs = std::make_shared<sim::CompiledSystem>(sim::CompiledSystem::compile(sched));
+    return [cs](const RunOptions& o) { return cs->run(o); };
+  }
+  if (engine == "jit") {
+    jit::JitOptions jo;
+    jo.cache_dir = ::testing::TempDir() + "/asicpp_run_contract_store";
+    auto js = std::make_shared<jit::JitSystem>(jit::JitSystem::compile(sched, {}, jo));
+    EXPECT_TRUE(js->native()) << "jit fell back to the tape";
+    return [js](const RunOptions& o) { return js->run(o); };
+  }
+  auto bs = std::make_shared<batch::BatchedSystem>(batch::BatchedSystem::compile(sched, 4));
+  return [bs](const RunOptions& o) { return bs->run(o); };
+}
 
 /// A free-running counter behind one engine's run().
 class Target {
@@ -41,24 +74,7 @@ class Target {
     s_.out("o", count_.sig()).assign(count_, (count_ + 1.0).cast(kFmt));
     comp_.bind_output("o", sched_.net("o"));
     sched_.add(comp_);
-    if (engine == "iterative") {
-      run_ = [this](const RunOptions& o) { return sched_.run(o); };
-    } else if (engine == "compiled") {
-      auto cs = std::make_shared<sim::CompiledSystem>(
-          sim::CompiledSystem::compile(sched_));
-      run_ = [cs](const RunOptions& o) { return cs->run(o); };
-    } else if (engine == "jit") {
-      jit::JitOptions jo;
-      jo.cache_dir = ::testing::TempDir() + "/asicpp_run_contract_store";
-      auto js = std::make_shared<jit::JitSystem>(
-          jit::JitSystem::compile(sched_, {}, jo));
-      EXPECT_TRUE(js->native()) << "jit fell back to the tape";
-      run_ = [js](const RunOptions& o) { return js->run(o); };
-    } else {
-      auto bs = std::make_shared<batch::BatchedSystem>(
-          batch::BatchedSystem::compile(sched_, 4));
-      run_ = [bs](const RunOptions& o) { return bs->run(o); };
-    }
+    run_ = engine_run(engine, sched_);
   }
 
   RunResult run(const RunOptions& o) { return run_(o); }
@@ -69,7 +85,7 @@ class Target {
   sfg::Sfg s_{"count_s"};
   sched::CycleScheduler sched_{clk_};
   sched::SfgComponent comp_{"counter", s_};
-  std::function<RunResult(const RunOptions&)> run_;
+  RunFn run_;
 };
 
 class RunContract : public ::testing::TestWithParam<EngineCase> {};
@@ -126,9 +142,234 @@ TEST_P(RunContract, OnCycleEndSeesTotalCycleNumbers) {
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4, 5}));
 }
 
+// --- one SCHED-001/002 text per design ---------------------------------------
+
+/// What every engine must report for a deadlocked design run at kLevelized:
+/// the SCHED-001 message and notes, and the unlevelizable SCHED-002's
+/// reason.
+struct Postmortem {
+  std::string message;
+  std::vector<std::string> notes;
+  std::string reason;
+};
+
+/// Run one cycle of a fresh `Design` on `engine`, at threads 1 and 4, and
+/// check its SCHED-001/002 against `want`. Only the origin and the batch's
+/// lane suffix may differ between engines.
+template <class Design>
+void expect_postmortem(const EngineCase& engine, const Postmortem& want) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Design sys;
+    const RunFn run = engine_run(engine.engine, sys.sched);
+    diag::DiagEngine de;
+    try {
+      run(RunOptions{}.for_cycles(1).mode(ScheduleMode::kLevelized).threads(threads).into(de));
+      ADD_FAILURE() << "no deadlock";
+      continue;
+    } catch (const sched::DeadlockError& e) {
+      EXPECT_EQ(e.diagnostic().code, "SCHED-001");
+    }
+    const diag::Diagnostic* d = de.find("SCHED-001");
+    ASSERT_NE(d, nullptr) << de.str();
+    EXPECT_EQ(d->component, engine.origin);
+    EXPECT_EQ(d->cycle, 0u);
+    std::string message = d->message;
+    const std::string lane = " (lane 0)";
+    if (std::string(engine.engine) == "batched" && message.size() > lane.size() &&
+        message.compare(message.size() - lane.size(), lane.size(), lane) == 0)
+      message.resize(message.size() - lane.size());
+    EXPECT_EQ(message, want.message);
+    EXPECT_EQ(d->notes, want.notes);
+
+    // The interpreted iterative case never asks for the level walk.
+    std::vector<const diag::Diagnostic*> sched002;
+    for (const auto& x : de.all())
+      if (x.code == "SCHED-002") sched002.push_back(&x);
+    if (std::string(engine.engine) == "iterative") {
+      EXPECT_TRUE(sched002.empty()) << de.str();
+      continue;
+    }
+    ASSERT_EQ(sched002.size(), 1u) << de.str();
+    EXPECT_EQ(sched002[0]->component, engine.origin);
+    EXPECT_EQ(sched002[0]->message,
+              "levelized schedule requested but the system cannot be statically "
+              "ordered (" + want.reason + "); running iteratively");
+  }
+}
+
+/// Two combinational components feeding each other (test_diag's CombLoop).
+struct CombLoop {
+  sfg::Clk clk;
+  Sig a = Sig::input("a", kFmt);
+  sfg::Sfg sa{"sa"};
+  sched::SfgComponent ca{"ca", sa};
+  Sig b = Sig::input("b", kFmt);
+  sfg::Sfg sb{"sb"};
+  sched::SfgComponent cb{"cb", sb};
+  sched::CycleScheduler sched{clk};
+
+  CombLoop() {
+    sa.in(a).out("oa", a + 1.0);
+    sb.in(b).out("ob", b + 1.0);
+    ca.bind_input(a, sched.net("b2a"));
+    ca.bind_output("oa", sched.net("a2b"));
+    cb.bind_input(b, sched.net("a2b"));
+    cb.bind_output("ob", sched.net("b2a"));
+    sched.add(ca);
+    sched.add(cb);
+  }
+};
+
+TEST_P(RunContract, CombLoopPostmortemIsOneText) {
+  expect_postmortem<CombLoop>(
+      GetParam(),
+      {"combinational deadlock, unfired components: ca, cb",
+       {"component 'ca' waits on net(s): 'b2a'", "component 'cb' waits on net(s): 'a2b'",
+        "dependency cycle: ca -[b2a]-> cb -[a2b]-> ca",
+        "net 'a2b' last value = 0 (no token this cycle)",
+        "net 'b2a' last value = 0 (no token this cycle)"},
+       "dependency cycle: ca cb"});
+}
+
+/// p -> q -> r -> p, plus a bystander `by` that waits on the loop without
+/// closing it. The nets are created in reverse name order.
+struct ThreeStageLoop {
+  sfg::Clk clk;
+  sched::CycleScheduler sched{clk};
+  Sig xp = Sig::input("xp", kFmt), xq = Sig::input("xq", kFmt);
+  Sig xr = Sig::input("xr", kFmt), xb = Sig::input("xb", kFmt);
+  sfg::Sfg sp{"sp"}, sq{"sq"}, sr{"sr"}, sb{"sb"};
+  sched::SfgComponent p{"p", sp}, q{"q", sq}, r{"r", sr}, by{"by", sb};
+
+  ThreeStageLoop() {
+    sched::Net& z_rp = sched.net("z_rp");
+    sched::Net& m_pq = sched.net("m_pq");
+    sched::Net& a_qr = sched.net("a_qr");
+    sched::Net& b_out = sched.net("b_out");
+    sp.in(xp).out("o", xp + 1.0);
+    sq.in(xq).out("o", xq + 2.0);
+    sr.in(xr).out("o", xr + 3.0);
+    sb.in(xb).out("o", xb * 2.0);
+    p.bind_input(xp, z_rp);
+    p.bind_output("o", m_pq);
+    q.bind_input(xq, m_pq);
+    q.bind_output("o", a_qr);
+    r.bind_input(xr, a_qr);
+    r.bind_output("o", z_rp);
+    by.bind_input(xb, m_pq);
+    by.bind_output("o", b_out);
+    for (sched::Component* c : {&p, &q, &r, &by}) sched.add(*c);
+  }
+};
+
+TEST_P(RunContract, ThreeStageLoopListsNetsByName) {
+  expect_postmortem<ThreeStageLoop>(
+      GetParam(),
+      {"combinational deadlock, unfired components: p, q, r, by",
+       {"component 'p' waits on net(s): 'z_rp'", "component 'q' waits on net(s): 'm_pq'",
+        "component 'r' waits on net(s): 'a_qr'", "component 'by' waits on net(s): 'm_pq'",
+        "dependency cycle: p -[z_rp]-> r -[a_qr]-> q -[m_pq]-> p",
+        "net 'a_qr' last value = 0 (no token this cycle)",
+        "net 'm_pq' last value = 0 (no token this cycle)",
+        "net 'z_rp' last value = 0 (no token this cycle)"},
+       "dependency cycle: p q r"});
+}
+
+/// An FSM controller and an instruction-dispatched datapath feeding each
+/// other; the instruction pin is driven, so the datapath decodes and then
+/// blocks on its data input.
+struct FsmDispatchLoop {
+  sfg::Clk clk;
+  sched::CycleScheduler sched{clk};
+  Sig fin = Sig::input("fin", kFmt), din = Sig::input("din", kFmt);
+  sfg::Sfg fs{"fs"}, ds{"ds"};
+  fsm::Fsm f{"f"};
+  sched::FsmComponent ctl{"ctl", f};
+  sched::DispatchComponent dp{"dp", sched.net("op")};
+
+  FsmDispatchLoop() {
+    fs.in(fin).out("o", fin + 1.0);
+    ds.in(din).out("o", din * 2.0);
+    fsm::State s = f.initial("s");
+    s << fsm::always << fs << s;
+    dp.add_instruction(1, ds);
+    sched.net("op").drive(fixpt::Fixed(1.0));
+    ctl.bind_input(fin, sched.net("d2f"));
+    ctl.bind_output("o", sched.net("f2d"));
+    dp.bind_input(din, sched.net("f2d"));
+    dp.bind_output("o", sched.net("d2f"));
+    sched.add(ctl);
+    sched.add(dp);
+  }
+};
+
+TEST_P(RunContract, FsmDispatchLoopPostmortemIsOneText) {
+  expect_postmortem<FsmDispatchLoop>(
+      GetParam(),
+      {"combinational deadlock, unfired components: ctl, dp",
+       {"component 'ctl' waits on net(s): 'd2f'", "component 'dp' waits on net(s): 'f2d'",
+        "dependency cycle: ctl -[d2f]-> dp -[f2d]-> ctl",
+        "net 'd2f' last value = 0 (no token this cycle)",
+        "net 'f2d' last value = 0 (no token this cycle)"},
+       "dependency cycle: ctl dp"});
+}
+
+// --- the level-parallel walk -------------------------------------------------
+
+/// Two levels of kWidth steps, wide enough for the level-parallel walk:
+/// a_i adds a counter to the driven net `x`, b_i doubles a_i's sum.
+struct WideLevels {
+  static constexpr int kWidth = 6;
+  sfg::Clk clk;
+  sched::CycleScheduler sched{clk};
+  std::vector<std::unique_ptr<sfg::Reg>> regs;
+  std::vector<std::unique_ptr<sfg::Sfg>> sfgs;
+  std::vector<std::unique_ptr<sched::SfgComponent>> comps;
+
+  WideLevels() {
+    sched.net("x").drive(fixpt::Fixed(0.5));
+    const auto add = [&](const std::string& name) -> sfg::Sfg& {
+      return *sfgs.emplace_back(std::make_unique<sfg::Sfg>(name));
+    };
+    for (int i = 0; i < kWidth; ++i) {
+      const std::string n = std::to_string(i);
+      sfg::Reg& r = *regs.emplace_back(std::make_unique<sfg::Reg>("r" + n, clk, kFmt, 0.0));
+      const Sig xa = Sig::input("xa" + n, kFmt), xb = Sig::input("xb" + n, kFmt);
+      sfg::Sfg& sa = add("sa" + n);
+      sfg::Sfg& sb = add("sb" + n);
+      sa.in(xa).out("o", xa + r.sig()).assign(r, (r + 1.0).cast(kFmt));
+      sb.in(xb).out("o", xb * 2.0);
+      auto& a = *comps.emplace_back(std::make_unique<sched::SfgComponent>("a" + n, sa));
+      auto& b = *comps.emplace_back(std::make_unique<sched::SfgComponent>("b" + n, sb));
+      a.bind_input(xa, sched.net("x"));
+      a.bind_output("o", sched.net("a" + n));
+      b.bind_input(xb, sched.net("a" + n));
+      b.bind_output("o", sched.net("b" + n));
+    }
+    for (auto& c : comps) sched.add(*c);
+  }
+};
+
+TEST_P(RunContract, WideLevelsRunAlikeAtAnyThreads) {
+  const bool batched = std::string(GetParam().engine) == "batched";
+  const bool walks = std::string(GetParam().engine) != "iterative";
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    WideLevels sys;
+    const RunResult r =
+        engine_run(GetParam().engine, sys.sched)(RunOptions{}.for_cycles(8).threads(threads));
+    EXPECT_EQ(r.cycles, 8u);
+    EXPECT_EQ(r.firings, 8u * 2 * WideLevels::kWidth * (batched ? 4 : 1));
+    EXPECT_EQ(r.levelized_cycles, walks ? 8u : 0u);
+    EXPECT_EQ(r.retry_passes, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, RunContract,
     ::testing::Values(EngineCase{"iterative", "cycle scheduler"},
+                      EngineCase{"levelized", "cycle scheduler"},
                       EngineCase{"compiled", "compiled simulator"},
                       EngineCase{"jit", "jit engine"},
                       EngineCase{"batched", "batched simulator"}),

@@ -3,6 +3,9 @@
 // and DynamicScheduler.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "df/dynsched.h"
 #include "df/process.h"
 #include "sched/cyclesched.h"
@@ -225,6 +228,52 @@ TEST(Schedule, StaleWalkMissReportsSched002AndRelevelizes) {
   const auto fixed = sched.cycle();
   EXPECT_TRUE(fixed.levelized);
   EXPECT_EQ(fixed.fired_components, 3);
+}
+
+// Two components feeding each other, named `x` and `y`, optionally behind
+// a consumer of the loop registered first.
+struct NamedLoop {
+  Clk clk;
+  CycleScheduler sched{clk};
+  Sig ix = Sig::input("ix", kF);
+  Sig iy = Sig::input("iy", kF);
+  Sig is = Sig::input("is", kF);
+  Sfg sx{"sx"}, sy{"sy"}, ss{"ss"};
+  SfgComponent cx, cy, sink{"sink", ss};
+
+  NamedLoop(const char* x, const char* y, bool sink_first) : cx(x, sx), cy(y, sy) {
+    sx.in(ix).out("o", ix + 1.0);
+    sy.in(iy).out("o", iy + 1.0);
+    ss.in(is).out("o", is * 2.0);
+    cx.bind_input(ix, sched.net("yx"));
+    cx.bind_output("o", sched.net("xy"));
+    cy.bind_input(iy, sched.net("xy"));
+    cy.bind_output("o", sched.net("yx"));
+    sink.bind_input(is, sched.net("xy"));
+    sink.bind_output("o", sched.net("out"));
+    if (sink_first) sched.add(sink);
+    sched.add(cx);
+    sched.add(cy);
+  }
+};
+
+// The cycle reason names every component on the cycle once, whatever the
+// names and the registration order: `cycle` and `end` are substrings of
+// "dependency cycle:", and `a` of `ab`, which a substring dedupe used to
+// drop; and a consumer of the loop registered first used to leave the
+// cycle search at a dead end.
+TEST(Schedule, CycleReasonNamesEachComponentOnce) {
+  for (const auto& [x, y] : {std::pair{"cycle", "end"}, std::pair{"ab", "a"}}) {
+    for (const bool sink_first : {false, true}) {
+      NamedLoop l(x, y, sink_first);
+      const std::string want = std::string("dependency cycle: ") + x + " " + y;
+      EXPECT_FALSE(l.sched.schedule().valid());
+      EXPECT_EQ(l.sched.schedule().reason(), want) << "sink first: " << sink_first;
+      const sim::CompiledSystem cs = sim::CompiledSystem::compile(l.sched);
+      EXPECT_FALSE(cs.levelizable());
+      EXPECT_EQ(cs.schedule_reason(), want) << "sink first: " << sink_first;
+    }
+  }
 }
 
 // --- fallback: dataflow adapters have no static firing order ---

@@ -12,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <unistd.h>
@@ -23,6 +25,8 @@
 #include "netlist/netsim.h"
 #include "opt/options.h"
 #include "pipeline/pipeline.h"
+#include "service/json.h"
+#include "service/service.h"
 #include "sim/compiled.h"
 #include "synth/system.h"
 
@@ -303,6 +307,102 @@ void BM_Dect_PipelineWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_Dect_PipelineCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Dect_PipelineWarm)->Unit(benchmark::kMillisecond);
+
+// One interactive DECT jit round, as a service session runs it: poke the
+// hold pin, run 2,500 cycles probing every watched net, read the new probe
+// rows. SessionLibrary steps the engine instance and keeps the rows itself;
+// SessionService sends the same requests as protocol lines through
+// Service::handle_line and decodes every reply, the trace reply and its
+// 7,500 values included. CI gates library time >= floor x service time
+// (compare_bench.py --ratio), which bounds what the JSON wire path may add
+// to a round on any runner.
+constexpr int kSessionCycles = 2500;
+
+void BM_Dect_SessionLibrary(benchmark::State& state) {
+  const auto design = service::make_design("dect");
+  pipeline::CompileRequest req;
+  req.design = &design->scheduler();
+  req.engine = "jit";
+  req.probes = design->default_probes();
+  const pipeline::CompileResult r = pipeline::compile(req);
+  if (!r.ok) {
+    state.SkipWithError(r.error.c_str());
+    return;
+  }
+  engine::Instance& inst = *r.instance;
+  std::vector<double> rows, read;
+  for (auto _ : state) {
+    inst.poke("hold_request", 0.0);
+    const std::size_t since = rows.size();
+    for (int c = 0; c < kSessionCycles; ++c) {
+      inst.cycle();
+      for (const std::string& p : r.probes) rows.push_back(inst.probe(p));
+    }
+    read.assign(rows.begin() + static_cast<std::ptrdiff_t>(since), rows.end());
+    benchmark::DoNotOptimize(read.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cycles/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kSessionCycles,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Dect_SessionLibrary)->Unit(benchmark::kMillisecond);
+
+void BM_Dect_SessionService(benchmark::State& state) {
+  using service::Json;
+  service::Service svc;
+  const auto call = [&](const Json& req) {
+    Json reply;
+    std::string err;
+    if (!Json::parse(svc.handle_line(req.dump()), &reply, &err))
+      throw std::runtime_error("unparseable reply: " + err);
+    return reply;
+  };
+  Json open = Json::object();
+  open.set("op", Json::string("open"));
+  open.set("design", Json::string("dect"));
+  open.set("engine", Json::string("jit"));
+  const Json opened = call(open);
+  if (!opened.get_bool("ok")) {
+    state.SkipWithError(opened.get_string("error").c_str());
+    return;
+  }
+  const auto request = [&](const char* op) {
+    Json j = Json::object();
+    j.set("op", Json::string(op));
+    j.set("session", Json::string(opened.get_string("session")));
+    return j;
+  };
+  Json poke = request("poke");
+  poke.set("net", Json::string("hold_request"));
+  poke.set("value", Json::number(0.0));
+  Json run = request("run");
+  run.set("cycles", Json::number(kSessionCycles));
+  std::size_t since = 0;
+  std::vector<double> read;
+  for (auto _ : state) {
+    bool ok = call(poke).get_bool("ok") && call(run).get_bool("ok");
+    Json trace = request("trace");
+    trace.set("since", Json::number(static_cast<double>(since)));
+    const Json rows = call(trace);
+    ok = ok && rows.get_bool("ok");
+    read.clear();
+    if (const Json* arr = rows.get("rows"))
+      for (const Json& row : arr->items())
+        for (const Json& v : row.items()) read.push_back(v.as_number());
+    since += kSessionCycles;
+    if (!ok) {
+      state.SkipWithError("a session request failed");
+      return;
+    }
+    benchmark::DoNotOptimize(read.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cycles/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kSessionCycles,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Dect_SessionService)->Unit(benchmark::kMillisecond);
 
 void BM_Dect_CompiledStructural(benchmark::State& state) {
   // Fully timed variant (cycle-true ROM + RAM register files): no native

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace asicpp::service {
@@ -24,29 +25,32 @@ class Json {
   static Json array();
   static Json object();
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
+  Kind kind() const { return static_cast<Kind>(v_.index()); }
+  bool is_null() const { return kind() == Kind::kNull; }
+  bool is_object() const { return kind() == Kind::kObject; }
+  bool is_array() const { return kind() == Kind::kArray; }
+  bool is_string() const { return kind() == Kind::kString; }
+  bool is_number() const { return kind() == Kind::kNumber; }
+  bool is_bool() const { return kind() == Kind::kBool; }
 
   // --- scalars ---
   bool as_bool(bool dflt = false) const {
-    return kind_ == Kind::kBool ? bool_ : dflt;
+    const bool* b = std::get_if<bool>(&v_);
+    return b != nullptr ? *b : dflt;
   }
   double as_number(double dflt = 0.0) const {
-    return kind_ == Kind::kNumber ? num_ : dflt;
+    const double* d = std::get_if<double>(&v_);
+    return d != nullptr ? *d : dflt;
   }
-  const std::string& as_string() const { return str_; }
+  /// The string; empty when this is not a string.
+  const std::string& as_string() const;
 
   // --- arrays ---
-  const std::vector<Json>& items() const { return arr_; }
-  Json& push(Json v) {
-    arr_.push_back(std::move(v));
-    return arr_.back();
-  }
+  /// The elements; empty when this is not an array.
+  const std::vector<Json>& items() const;
+  /// Append an element (a value of another kind becomes an empty array
+  /// first).
+  Json& push(Json v);
 
   // --- objects ---
   /// Member lookup; nullptr when absent (or not an object).
@@ -56,10 +60,14 @@ class Json {
                          const std::string& dflt = "") const;
   double get_number(const std::string& key, double dflt = 0.0) const;
   bool get_bool(const std::string& key, bool dflt = false) const;
+  /// Set a member: a key already present keeps its position and takes the
+  /// new value (a value of another kind becomes an empty object first).
   Json& set(std::string key, Json v);
 
-  /// Compact single-line serialization (doubles via %.17g, so probe values
-  /// round-trip bit-exactly).
+  /// Compact single-line serialization, written in one pass into one
+  /// buffer. Numbers go through std::to_chars(general, precision 17), which
+  /// writes the same bytes as printf's %.17g, so probe values round-trip
+  /// bit-exactly; NaN and infinities, which JSON cannot spell, are null.
   std::string dump() const;
 
   /// Deepest array/object nesting parse() accepts (the protocol nests 3).
@@ -69,12 +77,18 @@ class Json {
   static bool parse(const std::string& text, Json* out, std::string* err);
 
  private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  std::vector<Json> arr_;
-  std::vector<std::pair<std::string, Json>> obj_;
+  using Members = std::vector<std::pair<std::string, Json>>;
+  class Parser;
+  /// Service::op_trace builds each trace row array at its final size.
+  friend class Service;
+
+  explicit Json(std::vector<Json> items) : v_(std::move(items)) {}
+  void write(std::string& out) const;
+
+  // The alternatives follow Kind's order, so kind() is the index.
+  std::variant<std::monostate, bool, double, std::string, std::vector<Json>,
+               Members>
+      v_;
 };
 
 }  // namespace asicpp::service

@@ -1,5 +1,7 @@
 #include "service/service.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,15 +33,29 @@ Json string_array(const std::vector<std::string>& v) {
   return a;
 }
 
-Json rows_array(const std::vector<std::vector<double>>& rows,
-                std::size_t from) {
-  Json a = Json::array();
-  for (std::size_t i = from; i < rows.size(); ++i) {
-    Json row = Json::array();
-    for (const double v : rows[i]) row.push(Json::number(v));
-    a.push(std::move(row));
+/// Reads the count field `name` of `req` into `out`, or `dflt` when the
+/// field is absent. Anything but a whole number from 0 to `cap` (a string,
+/// a non-finite, negative or fractional value, or one above the cap) is
+/// refused: `err` gets the SVC-002 reply naming the field.
+bool read_count(const Json& req, const char* name, std::uint64_t dflt,
+                std::uint64_t cap, std::uint64_t* out, Json* err) {
+  const Json* v = req.get(name);
+  if (v == nullptr) {
+    *out = dflt;
+    return true;
   }
-  return a;
+  const double d = v->as_number(-1.0);
+  if (d >= 0.0 && d <= static_cast<double>(cap) && d == std::floor(d)) {
+    *out = static_cast<std::uint64_t>(d);
+    return true;
+  }
+  *err = Json::object();
+  err->set("ok", Json::boolean(false));
+  err->set("code", Json::string("SVC-002"));
+  err->set("error", Json::string(req.get_string("op") + ": '" + name +
+                                 "' must be a whole number from 0 to " +
+                                 std::to_string(cap)));
+  return false;
 }
 
 }  // namespace
@@ -58,14 +74,16 @@ struct Service::Session {
   std::vector<std::string> watch;
   diag::DiagEngine diags;
 
+  /// Cycles simulated, which is also the number of probe rows.
   std::uint64_t cycle = 0;
-  /// One probe row (watch order) per simulated cycle — the trace stream.
-  std::vector<std::vector<double>> rows;
+  /// The trace stream, flat: one row of watch.size() probe values (watch
+  /// order) per simulated cycle, row r at [r * watch.size(), ...).
+  std::vector<double> rows;
 
   struct Ckpt {
     std::string blob;
     std::uint64_t cycle = 0;
-    std::vector<std::vector<double>> rows;
+    std::vector<double> rows;
   };
   std::map<std::string, Ckpt> ckpts;
 };
@@ -127,16 +145,19 @@ std::shared_ptr<Service::Session> Service::find_session(const Json& req,
 }
 
 Json Service::op_open(const Json& req) {
-  auto sess = std::make_shared<Session>();
-  sess->diags.make_thread_safe();  // requests may arrive on any connection
-
   pipeline::CompileRequest creq;
+  Json err;
+  std::uint64_t lanes = 0;
+  if (!read_count(req, "lanes", creq.lanes, kMaxOpenLanes, &lanes, &err))
+    return err;
+  creq.lanes = static_cast<unsigned>(lanes);
   creq.engine = req.get_string("engine", "compiled");
   creq.cxx = req.get_string("cxx", "c++");
   creq.workdir = req.get_string("workdir");
   creq.store_dir = req.get_string("store_dir");
-  if (const Json* l = req.get("lanes"); l != nullptr && l->is_number())
-    creq.lanes = static_cast<unsigned>(l->as_number());
+
+  auto sess = std::make_shared<Session>();
+  sess->diags.make_thread_safe();  // requests may arrive on any connection
 
   std::vector<std::string> watch;
   if (const Json* w = req.get("watch"); w != nullptr && w->is_array())
@@ -201,24 +222,26 @@ Json Service::op_open(const Json& req) {
 
 Json Service::op_run(const Json& req) {
   Json err;
+  std::uint64_t cycles = 0, threads = 0;
+  if (!read_count(req, "cycles", 1, kMaxRunCycles, &cycles, &err) ||
+      !read_count(req, "threads", 0, kMaxRunThreads, &threads, &err))
+    return err;
   const auto sess = find_session(req, &err);
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
 
-  const auto cycles = static_cast<std::uint64_t>(req.get_number("cycles", 1));
-  const auto threads = static_cast<unsigned>(req.get_number("threads", 0));
   engine::Instance& inst = *sess->compiled.instance;
+  std::vector<double>& rows = sess->rows;
   try {
-    if (threads > 0) inst.set_threads(threads);
+    if (threads > 0) inst.set_threads(static_cast<unsigned>(threads));
     for (std::uint64_t c = 0; c < cycles; ++c) {
       inst.cycle();
-      std::vector<double> row;
-      row.reserve(sess->watch.size());
-      for (const std::string& n : sess->watch) row.push_back(inst.probe(n));
-      sess->rows.push_back(std::move(row));
+      for (const std::string& n : sess->watch) rows.push_back(inst.probe(n));
       ++sess->cycle;
     }
   } catch (const std::exception& ex) {
+    // A probe that threw may have left part of a row behind.
+    rows.resize(sess->cycle * sess->watch.size());
     sess->diags.error("SERVICE-001", "session", ex.what());
     Json j = error_json(ex.what());
     j.set("cycle", Json::number(static_cast<double>(sess->cycle)));
@@ -262,15 +285,28 @@ Json Service::op_probe(const Json& req) {
 
 Json Service::op_trace(const Json& req) {
   Json err;
+  std::uint64_t since = 0;
+  if (!read_count(req, "since", 0, kMaxTraceSince, &since, &err)) return err;
   const auto sess = find_session(req, &err);
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
-  auto since = static_cast<std::size_t>(req.get_number("since", 0));
-  if (since > sess->rows.size()) since = sess->rows.size();
+  since = std::min(since, sess->cycle);
+
+  // Each row array is built at its final size: one allocation per row.
+  const std::size_t width = sess->watch.size();
+  const double* v = sess->rows.data() + since * width;
+  std::vector<Json> rows;
+  rows.reserve(sess->cycle - since);
+  for (std::uint64_t r = since; r < sess->cycle; ++r, v += width) {
+    std::vector<Json> row;
+    row.reserve(width);
+    for (std::size_t k = 0; k < width; ++k) row.push_back(Json::number(v[k]));
+    rows.push_back(Json(std::move(row)));
+  }
   Json j = ok_json();
   j.set("from", Json::number(static_cast<double>(since)));
   j.set("probes", string_array(sess->watch));
-  j.set("rows", rows_array(sess->rows, since));
+  j.set("rows", Json(std::move(rows)));
   j.set("cycle", Json::number(static_cast<double>(sess->cycle)));
   return j;
 }

@@ -42,10 +42,13 @@
 //
 // Errors come back as {"ok":false,"error":"one line"} — the service never
 // throws out of handle_line, and a failed request never kills a session.
-// The asicpp-serve daemon frames lines with service::LineBuffer
-// (service/linebuf.h): a line longer than kMaxRequestLine (1 MiB) is
-// answered {"ok":false,"code":"SVC-001","error":...} and only that
-// connection is closed.
+// The count fields ("cycles" and "threads" of run, "since" of trace,
+// "lanes" of open) must be whole numbers from 0 to their caps below; any
+// other value is answered {"ok":false,"code":"SVC-002","error":...} naming
+// the field, and the request does nothing. The asicpp-serve daemon frames
+// lines with service::LineBuffer (service/linebuf.h): a line longer than
+// kMaxRequestLine (1 MiB) is answered {"ok":false,"code":"SVC-001",
+// "error":...} and only that connection is closed.
 #pragma once
 
 #include <atomic>
@@ -60,6 +63,15 @@
 #include "service/json.h"
 
 namespace asicpp::service {
+
+/// Per-request caps on the count fields. A run stores one probe row per
+/// cycle, so its cap bounds what one request may allocate (and how long it
+/// holds its session); a batched session allocates its state once per lane.
+inline constexpr std::uint64_t kMaxRunCycles = 1'000'000;  ///< run "cycles"
+inline constexpr std::uint64_t kMaxRunThreads = 256;       ///< run "threads"
+inline constexpr std::uint64_t kMaxOpenLanes = 1024;       ///< open "lanes"
+/// trace "since": a double holds every whole number up to 2^53 exactly.
+inline constexpr std::uint64_t kMaxTraceSince = std::uint64_t{1} << 53;
 
 /// A built-in interactive design the service can open by name (sessions
 /// opened from spec text don't need one). The object owns the clock, the

@@ -6,7 +6,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +126,94 @@ TEST(Json, StringEscapesRoundTrip) {
   std::string err;
   ASSERT_TRUE(Json::parse(j.dump(), &back, &err)) << err;
   EXPECT_EQ(back.get_string("s"), "a\"b\\c\nd\te");
+}
+
+TEST(Json, NumberTextIsPrintf17g) {
+  // dump() writes numbers through std::to_chars; the text must stay what
+  // printf's %.17g wrote, byte for byte, on every finite double.
+  std::vector<double> values = {-0.0, 4.9e-324, 1e16, 1e17,
+                                std::numeric_limits<double>::max(), 0.1};
+  std::mt19937_64 rng(19);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (const double d : values) {
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", d);
+    ASSERT_EQ(Json::number(d).dump(), want);
+  }
+  EXPECT_EQ(Json::number(std::numeric_limits<double>::infinity()).dump(), "null");
+  EXPECT_EQ(Json::number(-std::numeric_limits<double>::infinity()).dump(), "null");
+  EXPECT_EQ(Json::number(std::nan("")).dump(), "null");
+}
+
+TEST(Json, NumberSpellingsReadAsBefore) {
+  // Numbers read through std::from_chars, with strtod behind it for what
+  // from_chars refuses: each spelling keeps the bits strtod gave it.
+  for (const char* text :
+       {"0", "-0", "+1", ".5", "5.", "01", "1E5", "4.9e-324", "2.4e-324", "1e400",
+        "-1e400", "1e-400", "1.7976931348623159e308", "inf", "-infinity",
+        "0.30000000000000004"}) {
+    Json j;
+    std::string err;
+    ASSERT_TRUE(Json::parse(text, &j, &err)) << text << ": " << err;
+    ASSERT_TRUE(j.is_number()) << text;
+    const double want = std::strtod(text, nullptr);
+    const double got = j.as_number();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << text;
+  }
+  // A NaN spelling reads as a NaN. A bare "nan" never reached the number
+  // reader (a leading 'n' is the null keyword) and is still refused.
+  Json j;
+  std::string err;
+  ASSERT_TRUE(Json::parse("-nan", &j, &err)) << err;
+  EXPECT_TRUE(std::isnan(j.as_number()));
+  EXPECT_FALSE(Json::parse("nan", &j, &err));
+  // strtod reads hexadecimal; JSON has no such spelling.
+  for (const char* text : {"0x10", "-0x1p3", "[0x10]", "+0X1"}) {
+    EXPECT_FALSE(Json::parse(text, &j, &err)) << text;
+    EXPECT_NE(err.find("invalid number"), std::string::npos) << text << ": " << err;
+  }
+}
+
+TEST(Json, RepeatedKeyKeepsFirstPositionAndLastValue) {
+  Json j;
+  std::string err;
+  ASSERT_TRUE(Json::parse(R"({"a":1,"b":2,"a":3})", &j, &err)) << err;
+  EXPECT_EQ(j.dump(), R"({"a":3,"b":2})");
+  // Every key repeated: each takes its last value at its first position.
+  std::string text = "{";
+  for (int i = 0; i < 40; ++i)
+    text += "\"k" + std::to_string(i % 20) + "\":" + std::to_string(i) + ",";
+  text.back() = '}';
+  ASSERT_TRUE(Json::parse(text, &j, &err)) << err;
+  std::string want = "{";
+  for (int i = 0; i < 20; ++i)
+    want += "\"k" + std::to_string(i) + "\":" + std::to_string(i + 20) + ",";
+  want.back() = '}';
+  EXPECT_EQ(j.dump(), want);
+}
+
+TEST(Json, WideObjectParsesInUnderTwoSeconds) {
+  // 80,000 keys fit one request line (~870 KB). Resolving repeated keys
+  // pairwise, as each member arrived, took ~24 s on this line.
+  std::string text = "{";
+  for (int i = 0; i < 80000; ++i)
+    text += "\"k" + std::to_string(i) + "\":" + std::to_string(i % 10) + ",";
+  text.back() = '}';
+  ASSERT_LT(text.size(), service::kMaxRequestLine);
+  const auto t0 = std::chrono::steady_clock::now();
+  Json j;
+  std::string err;
+  ASSERT_TRUE(Json::parse(text, &j, &err)) << err;
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(secs, 2.0);
+  EXPECT_EQ(j.get_number("k79999"), 9.0);
+  EXPECT_EQ(j.dump(), text);
 }
 
 // --- protocol basics --------------------------------------------------------
@@ -288,6 +382,88 @@ TEST(Service, UnknownNetProbeFailsSoftly) {
   EXPECT_FALSE(bad.get_bool("ok", true));
   ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":1})");
   EXPECT_EQ(svc.session_count(), 1u);
+}
+
+TEST(Service, QuickstartTraceReplyText) {
+  // The trace reply byte for byte, as CI's service smoke greps it.
+  Service svc;
+  const std::string sid = ok_rpc(
+      svc, R"({"op":"open","engine":"compiled","design":"quickstart"})")
+                              .get_string("session");
+  ok_rpc(svc, R"({"op":"poke","session":")" + sid + R"(","net":"x","value":1.0})");
+  ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":6})");
+  ok_rpc(svc, R"({"op":"poke","session":")" + sid + R"(","net":"x","value":-0.3})");
+  ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":2})");
+  EXPECT_EQ(svc.handle_line(R"({"op":"trace","session":")" + sid + R"(","since":0})"),
+            R"({"ok":true,"from":0,"probes":["x","y"],"rows":[[1,0.5],[1,1],[1,1],)"
+            R"([1,1],[1,1],[1,1],[-0.29999999999999999,0.349609375],)"
+            R"([-0.29999999999999999,-0.30078125]],"cycle":8})");
+}
+
+TEST(Service, CountFieldOutOfRangeIsRefusedWithSvc002) {
+  // A count must be a whole number from 0 to its cap. "cycles":-1 once
+  // became 2^64-1 cycles and ran until memory ran out.
+  Service svc;
+  const std::string sid = ok_rpc(
+      svc, R"({"op":"open","engine":"compiled","design":"quickstart"})")
+                              .get_string("session");
+  const auto refused = [&](const std::string& line, const std::string& field) {
+    const std::string reply = svc.handle_line(line);
+    Json r;
+    std::string err;
+    ASSERT_TRUE(Json::parse(reply, &r, &err)) << reply;
+    EXPECT_FALSE(r.get_bool("ok", true)) << line;
+    EXPECT_EQ(r.get_string("code"), "SVC-002") << line;
+    EXPECT_NE(r.get_string("error").find("'" + field + "'"), std::string::npos)
+        << reply;
+    EXPECT_EQ(reply.find('\n'), std::string::npos);
+  };
+  const std::string over = std::to_string(service::kMaxRunCycles + 1);
+  for (const std::string& bad : {std::string("-1"), std::string("2.5"),
+                                 std::string("1e400"), over, std::string("\"4\"")}) {
+    refused(R"({"op":"run","session":")" + sid + R"(","cycles":)" + bad + "}",
+            "cycles");
+    const std::string threads =
+        bad == over ? std::to_string(service::kMaxRunThreads + 1) : bad;
+    refused(R"({"op":"run","session":")" + sid + R"(","cycles":1,"threads":)" +
+                threads + "}",
+            "threads");
+    const std::string since = bad == over ? "18014398509481984" : bad;  // 2^54
+    refused(R"({"op":"trace","session":")" + sid + R"(","since":)" + since + "}",
+            "since");
+    const std::string lanes =
+        bad == over ? std::to_string(service::kMaxOpenLanes + 1) : bad;
+    refused(R"({"op":"open","engine":"compiled","design":"quickstart","lanes":)" +
+                lanes + "}",
+            "lanes");
+  }
+  // Nothing ran and nothing opened; the session still runs.
+  EXPECT_EQ(svc.session_count(), 1u);
+  Json trace = ok_rpc(svc, R"({"op":"trace","session":")" + sid + R"("})");
+  EXPECT_EQ(trace.get_number("cycle"), 0.0);
+  EXPECT_EQ(ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":4})")
+                .get_number("cycle"),
+            4.0);
+  // The caps themselves are accepted.
+  EXPECT_EQ(ok_rpc(svc, R"({"op":"trace","session":")" + sid +
+                            R"(","since":9007199254740992})")
+                .get_number("from"),
+            4.0);
+}
+
+TEST(Service, RunWhoseProbeThrowsRecordsNoRow) {
+  // The compiled engine refuses an unknown net at probe time, after the
+  // watch list's first value of the row was read.
+  Service svc;
+  Json open = ok_rpc(svc, R"({"op":"open","engine":"compiled","design":"quickstart",)"
+                          R"("watch":["x","no_such_net"]})");
+  const std::string sid = open.get_string("session");
+  Json run = rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":3})");
+  EXPECT_FALSE(run.get_bool("ok", true));
+  EXPECT_EQ(run.get_number("cycle"), 0.0);
+  Json trace = ok_rpc(svc, R"({"op":"trace","session":")" + sid + R"("})");
+  EXPECT_EQ(trace.get_number("cycle"), 0.0);
+  EXPECT_TRUE(rows_of(trace).empty());
 }
 
 // --- spec-based sessions and trace parity -----------------------------------

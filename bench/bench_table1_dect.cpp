@@ -6,6 +6,7 @@
 // Verilog is counted for the source-size column.
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -307,6 +308,43 @@ void BM_Dect_PipelineWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_Dect_PipelineCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Dect_PipelineWarm)->Unit(benchmark::kMillisecond);
+
+// The same image as one translation unit built by one host-compiler
+// process (emit_unit's text, with the jit's default compiler and flags):
+// what a cold jit open cost before the unit was compiled in parts. CI
+// gates it against BM_Dect_PipelineCold with a same-run --ratio, so the
+// part build must stay well ahead of one process on any runner.
+void BM_Dect_PipelineOneUnit(benchmark::State& state) {
+  const std::string dir = "/tmp/asicpp-bench-one-unit-" + std::to_string(getpid());
+  std::filesystem::create_directories(dir);
+  const jit::JitOptions jo;
+  std::vector<std::string> argv{jo.cxx};
+  std::istringstream flags(jo.flags);
+  for (std::string f; flags >> f;) argv.push_back(f);
+  for (const std::string a : {"-shared", "-fPIC", "-o"}) argv.push_back(a);
+  argv.push_back(dir + "/unit.so");
+  argv.push_back(dir + "/unit.cpp");
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto t = std::make_unique<DectTransceiver>();
+    t->drive_sample(0.5);
+    state.ResumeTiming();
+    {
+      std::ofstream os(dir + "/unit.cpp");
+      sim::CompiledSystem::compile(t->scheduler()).emit_unit(os);
+    }
+    std::string out;
+    if (jit::run_command(argv, &out) != 0) {
+      state.SkipWithError(out.c_str());
+      break;
+    }
+    state.PauseTiming();
+    t.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_Dect_PipelineOneUnit)->Unit(benchmark::kMillisecond);
 
 // One interactive DECT jit round, as a service session runs it: poke the
 // hold pin, run 2,500 cycles probing every watched net, read the new probe

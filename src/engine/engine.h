@@ -103,6 +103,10 @@ class Instance {
   /// Value of a net after the last cycle.
   virtual double probe(const std::string& net) const = 0;
 
+  /// True when probe(net) can answer (after a cycle, for engines that
+  /// observe nothing before one).
+  virtual bool has_net(const std::string& net) const = 0;
+
   /// Drive an external input net before the next cycle. Engines without a
   /// poke surface (cppgen, gates) throw std::runtime_error.
   virtual void poke(const std::string& net, double v);

@@ -66,12 +66,9 @@ class SchedInstance : public Instance {
   }
 
   void cycle() override { s_->cycle(); }
-  double probe(const std::string& n) const override {
-    return s_->net(n).last().value();
-  }
-  void poke(const std::string& n, double v) override {
-    s_->net(n).drive(fixpt::Fixed(v));
-  }
+  double probe(const std::string& n) const override { return at(n).last().value(); }
+  bool has_net(const std::string& n) const override { return s_->find_net(n) != nullptr; }
+  void poke(const std::string& n, double v) override { at(n).drive(fixpt::Fixed(v)); }
   void set_threads(unsigned n) override { s_->set_threads(n); }
   bool save_state(std::ostream& os) override {
     s_->save_state(os);
@@ -83,6 +80,14 @@ class SchedInstance : public Instance {
   }
 
  private:
+  // The looked-up net; an unknown name throws like the compiled engines,
+  // instead of adding a net to the live scheduler.
+  sched::Net& at(const std::string& n) const {
+    sched::Net* net = s_->find_net(n);
+    if (net == nullptr) throw std::out_of_range("CycleScheduler: no net '" + n + "'");
+    return *net;
+  }
+
   std::unique_ptr<System> sys_;  ///< null when bound to a live scheduler
   sched::CycleScheduler* s_;
 };
@@ -132,12 +137,14 @@ class TapeInstance : public Instance {
 
   void cycle() override { cs_.cycle(); }
   double probe(const std::string& n) const override { return cs_.net_value(n); }
+  bool has_net(const std::string& n) const override { return cs_.has_net(n); }
   void poke(const std::string& n, double v) override {
     // Validates the name first; for a live-scheduler binding the per-cycle
     // external refresh reads the sched::Net, so the pin must be driven there
     // or the poke would be overwritten on the next cycle.
     cs_.poke(n, v);
-    if (sched_ != nullptr) sched_->net(n).drive(fixpt::Fixed(v));
+    if (sched_ != nullptr)
+      if (sched::Net* net = sched_->find_net(n)) net->drive(fixpt::Fixed(v));
   }
   void set_threads(unsigned n) override { cs_.set_threads(n); }
   bool save_state(std::ostream& os) override {
@@ -206,11 +213,13 @@ class JitInstance : public Instance {
 
   void cycle() override { js_.cycle(); }
   double probe(const std::string& n) const override { return js_.net_value(n); }
+  bool has_net(const std::string& n) const override { return js_.has_net(n); }
   void poke(const std::string& n, double v) override {
     // Same live-binding rule as TapeInstance: the generated image refreshes
     // external pins from the sched::Net each cycle.
     js_.poke(n, v);
-    if (sched_ != nullptr) sched_->net(n).drive(fixpt::Fixed(v));
+    if (sched_ != nullptr)
+      if (sched::Net* net = sched_->find_net(n)) net->drive(fixpt::Fixed(v));
   }
   void set_threads(unsigned n) override { js_.set_threads(n); }
   bool save_state(std::ostream& os) override {
@@ -308,6 +317,7 @@ class BatchedInstance : public Instance {
   double probe(const std::string& n) const override {
     return bs_.net_value(report_, n);
   }
+  bool has_net(const std::string& n) const override { return bs_.has_net(n); }
   void poke(const std::string& n, double v) override {
     // All lanes get the same stimulus, preserving the invariance contract.
     bs_.poke_all(n, v);
@@ -390,14 +400,13 @@ class CppgenInstance : public Instance {
       cs.emit_cpp(os, probes_, spec.cycles);
     }
     std::string text;
-    if (jit::run_command(opts.cxx + " -O2 -std=c++17 -o " + bin + " " + src,
-                         &text) != 0) {
+    if (jit::run_command({opts.cxx, "-O2", "-std=c++17", "-o", bin, src}, &text) != 0) {
       std::remove(src.c_str());
       throw std::runtime_error("generated simulator failed to compile: " +
                                text);
     }
     text.clear();
-    const int rc = jit::run_command(bin, &text);
+    const int rc = jit::run_command({bin}, &text);
     std::remove(src.c_str());
     std::remove(bin.c_str());
     if (rc != 0)
@@ -433,6 +442,9 @@ class CppgenInstance : public Instance {
       if (probes_[i] == n) return rows_[cursor_ - 1][i];
     throw std::runtime_error("net '" + n +
                              "' is not observed by the generated simulator");
+  }
+  bool has_net(const std::string& n) const override {
+    return std::find(probes_.begin(), probes_.end(), n) != probes_.end();
   }
 
  private:
@@ -507,6 +519,9 @@ class GatesInstance : public Instance {
       return std::ldexp(static_cast<double>(mant), -fmt_.frac_bits());
     }
     throw std::runtime_error("gates: net '" + n + "' is not observed");
+  }
+  bool has_net(const std::string& n) const override {
+    return std::find(probes_.begin(), probes_.end(), n) != probes_.end();
   }
 
  private:

@@ -135,8 +135,8 @@ inline std::string cpp_op_expr(sfg::Op op, const std::string& a,
     case Op::kOr: return "(double)(ll(" + a + ") | ll(" + b + "))";
     case Op::kXor: return "(double)(ll(" + a + ") ^ ll(" + b + "))";
     case Op::kNot: return "ll(" + a + ") == 0 ? 1.0 : 0.0";
-    case Op::kShl: return "std::ldexp(" + a + ", (int)" + b + ")";
-    case Op::kShr: return "std::ldexp(" + a + ", -(int)" + b + ")";
+    case Op::kShl: return "__builtin_ldexp(" + a + ", (int)" + b + ")";
+    case Op::kShr: return "__builtin_ldexp(" + a + ", -(int)" + b + ")";
     case Op::kMux: return a + " != 0.0 ? " + b + " : " + c;
     case Op::kEq: return a + " == " + b + " ? 1.0 : 0.0";
     case Op::kNe: return a + " != " + b + " ? 1.0 : 0.0";

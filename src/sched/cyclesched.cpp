@@ -15,6 +15,11 @@ Net& CycleScheduler::net(const std::string& name) {
   return *it->second;
 }
 
+Net* CycleScheduler::find_net(const std::string& name) const {
+  const auto it = nets_.find(name);
+  return it == nets_.end() ? nullptr : it->second.get();
+}
+
 // Phase-2 access policy (sched/phase2.h) over the component objects. The
 // component list and level order do not change within a cycle.
 struct CycleScheduler::Access {

@@ -56,6 +56,8 @@ class CycleScheduler {
 
   /// Create or fetch the interconnect net `name`.
   Net& net(const std::string& name);
+  /// The net called `name`, or nullptr; never creates one.
+  Net* find_net(const std::string& name) const;
 
   /// Cap on evaluation sweeps per cycle before declaring deadlock.
   void set_max_iterations(int n) { core_.max_iters = n; }

@@ -33,6 +33,14 @@ Json string_array(const std::vector<std::string>& v) {
   return a;
 }
 
+Json coded_error(const char* code, const std::string& why) {
+  Json j = Json::object();
+  j.set("ok", Json::boolean(false));
+  j.set("code", Json::string(code));
+  j.set("error", Json::string(why));
+  return j;
+}
+
 /// Reads the count field `name` of `req` into `out`, or `dflt` when the
 /// field is absent. Anything but a whole number from 0 to `cap` (a string,
 /// a non-finite, negative or fractional value, or one above the cap) is
@@ -49,12 +57,9 @@ bool read_count(const Json& req, const char* name, std::uint64_t dflt,
     *out = static_cast<std::uint64_t>(d);
     return true;
   }
-  *err = Json::object();
-  err->set("ok", Json::boolean(false));
-  err->set("code", Json::string("SVC-002"));
-  err->set("error", Json::string(req.get_string("op") + ": '" + name +
-                                 "' must be a whole number from 0 to " +
-                                 std::to_string(cap)));
+  *err = coded_error("SVC-002", req.get_string("op") + ": '" + name +
+                                    "' must be a whole number from 0 to " +
+                                    std::to_string(cap));
   return false;
 }
 
@@ -191,6 +196,10 @@ Json Service::op_open(const Json& req) {
     return error_json(sess->compiled.error);
 
   sess->watch = !watch.empty() ? watch : sess->compiled.probes;
+  for (const std::string& n : sess->watch)
+    if (!sess->compiled.instance->has_net(n))
+      return coded_error("SVC-003", "open: engine '" + sess->compiled.engine +
+                                        "' has no net '" + n + "' to watch");
 
   std::string id;
   {
@@ -229,6 +238,10 @@ Json Service::op_run(const Json& req) {
   const auto sess = find_session(req, &err);
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
+  if (cycles > kMaxSessionRows - sess->cycle)
+    return coded_error("SVC-002", "run: 'cycles' would take the session past " +
+                                      std::to_string(kMaxSessionRows) + " rows (it has " +
+                                      std::to_string(sess->cycle) + ")");
 
   engine::Instance& inst = *sess->compiled.instance;
   std::vector<double>& rows = sess->rows;

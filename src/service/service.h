@@ -45,7 +45,10 @@
 // The count fields ("cycles" and "threads" of run, "since" of trace,
 // "lanes" of open) must be whole numbers from 0 to their caps below; any
 // other value is answered {"ok":false,"code":"SVC-002","error":...} naming
-// the field, and the request does nothing. The asicpp-serve daemon frames
+// the field, and the request does nothing; so is a run that would take the
+// session past kMaxSessionRows rows. An open whose "watch" names a net
+// the engine does not have is answered {"ok":false,"code":"SVC-003",...}
+// and opens no session. The asicpp-serve daemon frames
 // lines with service::LineBuffer (service/linebuf.h): a line longer than
 // kMaxRequestLine (1 MiB) is answered {"ok":false,"code":"SVC-001",
 // "error":...} and only that connection is closed.
@@ -72,6 +75,9 @@ inline constexpr std::uint64_t kMaxRunThreads = 256;       ///< run "threads"
 inline constexpr std::uint64_t kMaxOpenLanes = 1024;       ///< open "lanes"
 /// trace "since": a double holds every whole number up to 2^53 exactly.
 inline constexpr std::uint64_t kMaxTraceSince = std::uint64_t{1} << 53;
+/// Probe rows a session keeps across all its runs (one row per cycle): a
+/// run that would take it past this is refused with SVC-002.
+inline constexpr std::uint64_t kMaxSessionRows = 4'000'000;
 
 /// A built-in interactive design the service can open by name (sessions
 /// opened from spec text don't need one). The object owns the clock, the

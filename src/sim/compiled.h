@@ -74,10 +74,12 @@ class CompiledSystem : public LaneDriver<1> {
   /// persists across cycles.
   void poke(const std::string& input_name, double v);
 
-  /// Emit the cycle kernel as a C++ translation unit over the JitState
-  /// block (sim/cppunit.h): one straight-line function per tape, one try
-  /// function per component, and the four-phase cycle as extern "C" entry
-  /// points. The JIT compiles exactly this text; emit_cpp() wraps it.
+  /// Emit the cycle kernel as C++ over the JitState block (sim/cppunit.h):
+  /// one straight-line function per tape, one try function per component,
+  /// and the four-phase cycle as extern "C" entry points, in the image's
+  /// parts. The JIT compiles the parts; emit_unit() writes them as one
+  /// translation unit, which emit_cpp() wraps.
+  UnitParts emit_parts() const { return img_->emit_parts(); }
   void emit_unit(std::ostream& os) const { img_->emit_unit(os); }
 
   /// Emit a standalone C++ program that reproduces this system's
@@ -92,7 +94,7 @@ class CompiledSystem : public LaneDriver<1> {
                 std::uint64_t run_cycles) const;
 
  private:
-  // The JIT engine (src/jit) compiles emit_unit()'s text and points its
+  // The JIT engine (src/jit) compiles emit_parts()'s text and points its
   // JitState block at this driver's arrays.
   friend class asicpp::jit::JitSystem;
 

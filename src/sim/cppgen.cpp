@@ -1,7 +1,7 @@
 // C++ source regeneration from the compiled-tape form (Fig 7).
 //
 // The standalone simulator is the compiled system's C++ unit (emit_unit,
-// the text the JIT loads) plus the main() driver written here: static
+// the JIT's parts as one file) plus the main() driver written here: static
 // arrays seeded from the current image, a token clear with the frozen pin
 // drives each cycle, asicpp_jit_cycle, and one printed line per watched
 // net. The output depends on no library; an integration test compiles it

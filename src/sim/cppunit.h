@@ -1,10 +1,9 @@
 // The C++ translation unit of a compiled system.
 //
-// CompiledSystem::emit_unit writes the optimized tapes as one C++ unit:
-// one function per tape, per-component try functions, and the four-phase
-// cycle as extern "C" entry points. Every function takes a JitState block
-// instead of touching file globals, so the same text serves two execution
-// forms:
+// Image::emit_parts writes the optimized tapes as C++: one function per
+// tape, per-component try functions, and the four-phase cycle as extern
+// "C" entry points. Every function takes a JitState block instead of
+// touching file globals, so the same text serves two execution forms:
 //
 //   * the in-process JIT (src/jit) compiles it to a shared object and
 //     points the block at a width-1 sim::LaneDriver's arrays — one object
@@ -12,6 +11,24 @@
 //     tokens, external drives and snapshots;
 //   * CompiledSystem::emit_cpp appends a main() driver with image-seeded
 //     static arrays — the standalone simulator of Fig 7.
+//
+// The text is a prelude plus one body per part of Image::parts. The
+// prelude includes no header (the rounding helpers call GCC/Clang
+// builtins) and, for a split unit, declares each part's entry functions.
+// A part holds whole components: their SFG functions and try functions
+// stay static, and six functions per part — phase-0 select, phase-1
+// tokens, the part's share of the level walk, one level-order slot, one
+// sweep step and the phase-3 commit — are what the entry points call. The
+// last body carries the entry points, so its own six are static and the
+// host compiler inlines them; the other parts' have hidden visibility
+// (external to the part, internal to the shared object) and are declared
+// in the prelude. A one-part unit is just the last part. The
+// parts are ordered so every dependency points forward, so walking them
+// in order is a valid level walk: one call per part per phase. The sweep
+// keeps component index order, calling into a part only for a component
+// that has not fired. prelude + body[k] compiles on its own (the JIT
+// builds the parts concurrently and links them); prelude + every body is
+// one unit (CompiledSystem::emit_unit, emit_cpp).
 //
 // Exported symbols:
 //
@@ -25,8 +42,17 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace asicpp::sim {
+
+/// The emitted unit for separate compilation: part k's source is
+/// prelude + bodies[k]; prelude + every body in order is the whole unit.
+struct UnitParts {
+  std::string prelude;
+  std::vector<std::string> bodies;
+};
 
 /// ABI revision of the state struct / exported symbols; a loaded object
 /// must report the same value.

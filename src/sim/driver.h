@@ -84,6 +84,8 @@ class LaneDriver {
   ScheduleMode schedule_mode() const { return core_.mode; }
   /// True when compile() found a valid level order for the system.
   bool levelizable() const { return img_->levelizable; }
+  /// True when the image has a net called `name`.
+  bool has_net(const std::string& name) const { return img_->net_ids.count(name) != 0; }
 
   void attach_diagnostics(diag::DiagEngine& de) { core_.attach_diagnostics(de); }
   diag::DiagEngine& diagnostics() { return core_.diagnostics(); }

@@ -321,6 +321,7 @@ void Image::build_schedule() {
     after.push_back(decode_idx);
   }
 
+  build_parts(act_comp, needs, produces);
   sched::LevelOrder lo = sched::order_actions(needs, produces, after, act_comp, names);
   if (!lo.reason.empty()) {
     sched_reason = std::move(lo.reason);
@@ -334,6 +335,123 @@ void Image::build_schedule() {
   level_offsets = std::move(lo.offsets);
   sched_levels = static_cast<int>(level_offsets.size()) - 1;
   levelizable = true;
+}
+
+void Image::build_parts(const std::vector<std::size_t>& act_comp,
+                        const std::vector<std::vector<std::int32_t>>& needs,
+                        const std::vector<std::vector<std::int32_t>>& produces) {
+  const std::size_t n = comps.size();
+  // Component graph: a -> b when an action of `a` produces a net an action
+  // of `b` needs (the action graph above with each component's actions
+  // merged into one node).
+  std::vector<std::vector<std::size_t>> producers(net_slots.size());
+  for (std::size_t a = 0; a < act_comp.size(); ++a)
+    for (const auto net : produces[a])
+      producers[static_cast<std::size_t>(net)].push_back(act_comp[a]);
+  std::vector<std::vector<std::size_t>> succ(n);
+  for (std::size_t a = 0; a < act_comp.size(); ++a)
+    for (const auto net : needs[a])
+      for (const std::size_t from : producers[static_cast<std::size_t>(net)])
+        if (from != act_comp[a]) succ[from].push_back(act_comp[a]);
+  for (auto& s : succ) {
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+  }
+
+  // Strongly connected groups (Tarjan, iterative), which come out in
+  // reverse topological order: a group only depends on groups found after
+  // it. A part may not split a group, or one of its walks would need
+  // another part's result before that part has run.
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index(n, kUnseen), low(n, 0);
+  std::vector<char> on_stack(n, 0);
+  std::vector<std::size_t> stack;
+  std::vector<std::pair<std::size_t, std::size_t>> walk;  // node, next edge
+  std::vector<std::vector<std::int32_t>> groups;
+  std::size_t counter = 0;
+  const auto visit = [&](std::size_t v) {
+    index[v] = low[v] = counter++;
+    stack.push_back(v);
+    on_stack[v] = 1;
+    walk.emplace_back(v, 0);
+  };
+  for (std::size_t root = 0; root < n; ++root) {
+    if (index[root] != kUnseen) continue;
+    visit(root);
+    while (!walk.empty()) {
+      const std::size_t v = walk.back().first;
+      if (walk.back().second < succ[v].size()) {
+        const std::size_t w = succ[v][walk.back().second++];
+        if (index[w] == kUnseen)
+          visit(w);
+        else if (on_stack[w] != 0)
+          low[v] = std::min(low[v], index[w]);
+        continue;
+      }
+      walk.pop_back();
+      if (!walk.empty())
+        low[walk.back().first] = std::min(low[walk.back().first], low[v]);
+      if (low[v] != index[v]) continue;
+      std::vector<std::int32_t> g;
+      std::size_t w;
+      do {
+        w = stack.back();
+        stack.pop_back();
+        on_stack[w] = 0;
+        g.push_back(static_cast<std::int32_t>(w));
+      } while (w != v);
+      groups.push_back(std::move(g));
+    }
+  }
+  std::reverse(groups.begin(), groups.end());
+
+  // Weight: the instructions a component's code emits, a proxy for its
+  // share of the host compile.
+  const auto sfg_weight = [&](std::int32_t id) {
+    const SfgCode& s = sfgs[static_cast<std::size_t>(id)];
+    return 4 + s.pre.size() + s.main.size() + s.load_inputs.size() +
+           s.commits.size() + s.pre_pushes.size() + s.main_pushes.size();
+  };
+  std::vector<std::size_t> weight(groups.size(), 0);
+  std::size_t total = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const auto ci : groups[g]) {
+      const Comp& c = comps[static_cast<std::size_t>(ci)];
+      for (const auto& st : c.by_state)
+        for (const auto& gt : st) weight[g] += 1 + gt.guard.size();
+      for (const auto id : c.sfg_ids()) weight[g] += sfg_weight(id);
+    }
+    total += weight[g];
+  }
+
+  // Cut the topological sequence of groups into `count` runs of about equal
+  // weight: a group joins the run its weight's midpoint falls in.
+  const std::size_t count = std::clamp<std::size_t>(
+      total / kPartWeight, 1, std::clamp<std::size_t>(groups.size(), 1, kMaxParts));
+  parts.assign(count, {});
+  std::size_t before = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::size_t k = std::min(
+        count - 1, (2 * before + weight[g]) * count / (2 * std::max<std::size_t>(total, 1)));
+    parts[k].insert(parts[k].end(), groups[g].begin(), groups[g].end());
+    before += weight[g];
+  }
+  parts.erase(std::remove_if(parts.begin(), parts.end(),
+                             [](const auto& p) { return p.empty(); }),
+              parts.end());
+  if (parts.empty()) parts.emplace_back();  // no components: one empty part
+  for (auto& p : parts) std::sort(p.begin(), p.end());
+}
+
+std::vector<std::int32_t> Image::Comp::sfg_ids() const {
+  std::vector<std::int32_t> ids;
+  if (solo_sfg >= 0) ids.push_back(solo_sfg);
+  for (const auto& st : by_state)
+    for (const auto& gt : st) ids.insert(ids.end(), gt.sfgs.begin(), gt.sfgs.end());
+  if (kind == Kind::kDispatch) table.for_each([&](std::int32_t id) { ids.push_back(id); });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 void Image::compute_ir_hash() {

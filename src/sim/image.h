@@ -28,6 +28,7 @@
 #include "sched/cyclesched.h"
 #include "sched/opcode_table.h"
 #include "sched/untimed.h"
+#include "sim/cppunit.h"
 #include "sim/tape.h"
 
 namespace asicpp::sim {
@@ -78,6 +79,9 @@ struct Image {
     sched::UntimedComponent* untimed = nullptr;
     std::vector<std::int32_t> in_nets;
     std::vector<std::int32_t> out_nets;
+
+    /// Every SFG id the component runs, ascending.
+    std::vector<std::int32_t> sfg_ids() const;
   };
 
   struct RegInit {
@@ -100,8 +104,12 @@ struct Image {
   static std::shared_ptr<const Image> compile(const sched::CycleScheduler& sched,
                                               const opt::PassOptions& passes);
 
-  /// Emit the cycle kernel as a C++ translation unit over the JitState
-  /// block (sim/cppunit.h).
+  /// Emit the cycle kernel as C++ over the JitState block (sim/cppunit.h):
+  /// one part per entry of `parts`, each compilable on its own after the
+  /// shared prelude.
+  UnitParts emit_parts() const;
+  /// The same text as one translation unit: the prelude once, then every
+  /// part's body.
   void emit_unit(std::ostream& os) const;
 
   /// Bytes of the static structures (tapes, tables, maps).
@@ -129,6 +137,17 @@ struct Image {
   int sched_levels = 0;
   std::string sched_reason;  ///< why levelization failed
 
+  /// Components grouped into the parts of the emitted C++ (emit_parts):
+  /// whole strongly connected groups of the component dependency graph,
+  /// parts in an order where every dependency points forward, members in
+  /// index order. Derived from the image alone, so every host splits a
+  /// design the same way; a design under kPartWeight is one part.
+  std::vector<std::vector<std::int32_t>> parts;
+  /// Emitted tape instructions a part aims for, and the most parts a
+  /// design is split into.
+  static constexpr std::size_t kPartWeight = 1280;
+  static constexpr std::size_t kMaxParts = 8;
+
   /// IR content hash over the slot layout, net names, every emitted tape
   /// instruction and commit, and the component/transition structure. Binds
   /// snapshots and JIT artifacts to one image.
@@ -138,6 +157,9 @@ struct Image {
  private:
   class Builder;
   void build_schedule();
+  void build_parts(const std::vector<std::size_t>& act_comp,
+                   const std::vector<std::vector<std::int32_t>>& needs,
+                   const std::vector<std::vector<std::int32_t>>& produces);
   void compute_ir_hash();
 };
 

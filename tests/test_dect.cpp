@@ -151,10 +151,10 @@ TEST(Hcor, GeneratedSimulatorMatchesGoldenWithRxHeld) {
     cs.emit_cpp(os, {"detect", "corr_out"}, kCycles);
   }
   std::string out;
-  ASSERT_EQ(jit::run_command("c++ -O2 -std=c++17 -o " + bin + " " + src, &out), 0)
+  ASSERT_EQ(jit::run_command({"c++", "-O2", "-std=c++17", "-o", bin, src}, &out), 0)
       << out;
   out.clear();
-  ASSERT_EQ(jit::run_command(bin, &out), 0) << out;
+  ASSERT_EQ(jit::run_command({bin}, &out), 0) << out;
 
   std::istringstream is(out);
   Hcor::Golden g;

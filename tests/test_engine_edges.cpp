@@ -71,10 +71,10 @@ Trace run_cppgen(const sim::CompiledSystem& cs, const std::vector<std::string>& 
     cs.emit_cpp(os, watch, cycles);
   }
   std::string out;
-  if (jit::run_command("c++ -O2 -std=c++17 -w -o " + base + " " + base + ".cpp", &out) != 0)
+  if (jit::run_command({"c++", "-O2", "-std=c++17", "-w", "-o", base, base + ".cpp"}, &out) != 0)
     throw std::runtime_error("standalone simulator failed to compile:\n" + out);
   out.clear();
-  const int st = jit::run_command(base, &out);
+  const int st = jit::run_command({base}, &out);
   std::remove((base + ".cpp").c_str());
   std::remove(base.c_str());
   if (!WIFEXITED(st) || WEXITSTATUS(st) != 0) throw std::logic_error(out);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <string>
@@ -451,19 +452,98 @@ TEST(Service, CountFieldOutOfRangeIsRefusedWithSvc002) {
             4.0);
 }
 
-TEST(Service, RunWhoseProbeThrowsRecordsNoRow) {
-  // The compiled engine refuses an unknown net at probe time, after the
-  // watch list's first value of the row was read.
+TEST(Service, OpenRefusesUnknownWatchNetWithSvc003) {
+  // The watch list is checked before the session exists. An unknown name
+  // used to open a session whose every run failed in the probe after the
+  // engine had stepped (compiled, jit), or that added the net to the live
+  // scheduler, so the session's fork failed with CKPT-003 (iterative,
+  // levelized).
+  const std::string store = ::testing::TempDir() + "asicpp_svc003_" + std::to_string(getpid());
   Service svc;
-  Json open = ok_rpc(svc, R"({"op":"open","engine":"compiled","design":"quickstart",)"
-                          R"("watch":["x","no_such_net"]})");
-  const std::string sid = open.get_string("session");
-  Json run = rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":3})");
-  EXPECT_FALSE(run.get_bool("ok", true));
-  EXPECT_EQ(run.get_number("cycle"), 0.0);
-  Json trace = ok_rpc(svc, R"({"op":"trace","session":")" + sid + R"("})");
-  EXPECT_EQ(trace.get_number("cycle"), 0.0);
-  EXPECT_TRUE(rows_of(trace).empty());
+  for (const char* engine : {"iterative", "levelized", "compiled", "jit"}) {
+    SCOPED_TRACE(engine);
+    const std::string head = std::string(R"({"op":"open","engine":")") + engine +
+                             R"(","design":"quickstart","store_dir":")" + store + R"(",)";
+    const std::string reply = svc.handle_line(head + R"("watch":["y","no_such_net"]})");
+    Json bad;
+    std::string err;
+    ASSERT_TRUE(Json::parse(reply, &bad, &err)) << reply;
+    EXPECT_FALSE(bad.get_bool("ok", true)) << reply;
+    EXPECT_EQ(bad.get_string("code"), "SVC-003") << reply;
+    EXPECT_NE(bad.get_string("error").find("'no_such_net'"), std::string::npos) << reply;
+    EXPECT_EQ(reply.find("session"), std::string::npos) << reply;
+    EXPECT_EQ(svc.session_count(), 0u);
+
+    // Known names open a session that runs, checkpoints and forks.
+    const std::string sid = ok_rpc(svc, head + R"("watch":["y","x"]})").get_string("session");
+    ok_rpc(svc, R"({"op":"poke","session":")" + sid + R"(","net":"x","value":1.0})");
+    EXPECT_EQ(ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":3})")
+                  .get_number("cycle"),
+              3.0);
+    ok_rpc(svc, R"({"op":"checkpoint","session":")" + sid + R"(","name":"c"})");
+    const std::string child =
+        ok_rpc(svc, R"({"op":"fork","session":")" + sid + R"(","from":"c"})")
+            .get_string("session");
+    EXPECT_EQ(rows_of(ok_rpc(svc, R"({"op":"trace","session":")" + child + R"("})")),
+              rows_of(ok_rpc(svc, R"({"op":"trace","session":")" + sid + R"("})")));
+    ok_rpc(svc, R"({"op":"close","session":")" + child + R"("})");
+    ok_rpc(svc, R"({"op":"close","session":")" + sid + R"("})");
+  }
+  std::filesystem::remove_all(store);
+}
+
+TEST(Service, InterpretedUnknownNetFailsWithoutJoiningTheScheduler) {
+  // probe and poke look a net up without creating it, so a session that
+  // asked for an unknown net still checkpoints and forks.
+  for (const char* engine : {"iterative", "levelized"}) {
+    SCOPED_TRACE(engine);
+    Service svc;
+    const std::string sid =
+        ok_rpc(svc, std::string(R"({"op":"open","engine":")") + engine +
+                        R"(","design":"quickstart"})")
+            .get_string("session");
+    Json probe = rpc(svc, R"({"op":"probe","session":")" + sid + R"(","net":"no_such_net"})");
+    EXPECT_FALSE(probe.get_bool("ok", true));
+    EXPECT_NE(probe.get_string("error").find("'no_such_net'"), std::string::npos);
+    Json poke = rpc(svc, R"({"op":"poke","session":")" + sid +
+                             R"(","net":"no_such_net","value":1.0})");
+    EXPECT_FALSE(poke.get_bool("ok", true));
+    ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":2})");
+    ok_rpc(svc, R"({"op":"checkpoint","session":")" + sid + R"(","name":"c"})");
+    EXPECT_EQ(ok_rpc(svc, R"({"op":"fork","session":")" + sid + R"(","from":"c"})")
+                  .get_number("cycle"),
+              2.0);
+  }
+}
+
+TEST(Service, SessionRowsAreCappedAcrossRuns) {
+  // Each run is capped at kMaxRunCycles, and a session's runs together at
+  // kMaxSessionRows: the run that would pass it is refused and runs nothing.
+  static_assert(service::kMaxSessionRows % service::kMaxRunCycles == 0);
+  Service svc;
+  const std::string sid =
+      ok_rpc(svc, R"({"op":"open","engine":"compiled","design":"quickstart","watch":["y"]})")
+          .get_string("session");
+  const std::string full = std::to_string(service::kMaxRunCycles);
+  for (std::uint64_t n = 0; n < service::kMaxSessionRows; n += service::kMaxRunCycles)
+    ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":)" + full + "}");
+  const std::string reply =
+      svc.handle_line(R"({"op":"run","session":")" + sid + R"(","cycles":1})");
+  Json r;
+  std::string err;
+  ASSERT_TRUE(Json::parse(reply, &r, &err)) << reply;
+  EXPECT_FALSE(r.get_bool("ok", true)) << reply;
+  EXPECT_EQ(r.get_string("code"), "SVC-002") << reply;
+  EXPECT_NE(r.get_string("error").find("'cycles'"), std::string::npos) << reply;
+  // Nothing ran; a run of no cycles still fits, and the history reads back.
+  const double cap = static_cast<double>(service::kMaxSessionRows);
+  EXPECT_EQ(ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":0})")
+                .get_number("cycle"),
+            cap);
+  Json tail = ok_rpc(svc, R"({"op":"trace","session":")" + sid + R"(","since":)" +
+                              std::to_string(service::kMaxSessionRows - 2) + "}");
+  EXPECT_EQ(rows_of(tail).size(), 2u);
+  EXPECT_EQ(tail.get_number("cycle"), cap);
 }
 
 // --- spec-based sessions and trace parity -----------------------------------

@@ -15,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -251,9 +252,10 @@ BENCHMARK(BM_Dect_JitCompiled);
 // warm (the identical request again — the content-addressed store serves
 // the compiled image and the pipeline only re-elaborates and dlopens).
 // Transceiver construction and teardown happen outside the timed region;
-// what remains is exactly the pipeline bind stage. CI enforces
-// cold >= 5x warm through compare_bench.py --ratio, which is
-// machine-independent because both run back to back on the same host.
+// what remains is exactly the pipeline bind stage, waiting for native code
+// (not tiered). CI enforces cold >= 5x warm through compare_bench.py
+// --ratio, which is machine-independent because both run back to back on
+// the same host.
 void pipeline_compile_bench(benchmark::State& state, bool warm) {
   const std::string dir =
       "/tmp/asicpp-bench-store-" + std::to_string(getpid());
@@ -265,6 +267,7 @@ void pipeline_compile_bench(benchmark::State& state, bool warm) {
     req.engine = "jit";
     req.store_dir = dir;
     req.probes = {"sample", "hold_request"};
+    req.tiered = false;
     return pipeline::compile(req);
   };
   if (warm) {
@@ -308,6 +311,56 @@ void BM_Dect_PipelineWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_Dect_PipelineCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Dect_PipelineWarm)->Unit(benchmark::kMillisecond);
+
+// A tiered cold open, as service sessions and perfbench make it: from the
+// request to the end of the first cycle, on an empty store. The first
+// cycle runs on the tape while the host compiler builds the native code
+// in the background. CI gates BM_Dect_PipelineCold (which waits for that
+// build) against it with a same-run --ratio. Each iteration waits for its
+// build outside the timed region (a blocking open of the same design
+// joins it), so no build overlaps the next iteration or benchmark.
+void BM_Dect_TieredFirstCycle(benchmark::State& state) {
+  const std::string dir = "/tmp/asicpp-bench-tiered-" + std::to_string(getpid());
+  std::filesystem::remove_all(dir);
+  const auto request = [&](DectTransceiver& t, bool tiered) {
+    pipeline::CompileRequest req;
+    req.design = &t.scheduler();
+    req.engine = "jit";
+    req.store_dir = dir;
+    req.probes = {"sample", "hold_request"};
+    req.tiered = tiered;
+    return req;
+  };
+  double native_first = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    auto t = std::make_unique<DectTransceiver>();
+    t->drive_sample(0.5);
+    state.ResumeTiming();
+    auto r = pipeline::compile(request(*t, true));
+    if (!r.ok) {
+      state.SkipWithError(r.error.c_str());
+      return;
+    }
+    r.instance->cycle();
+    state.PauseTiming();
+    native_first += r.instance->tier().value_or(engine::Tier{}).native ? 1.0 : 0.0;
+    DectTransceiver joiner;  // the same design and state: the same build
+    joiner.drive_sample(0.5);
+    const auto joined = pipeline::compile(request(joiner, false));
+    if (!joined.ok || !joined.instance->tier().value_or(engine::Tier{}).native) {
+      state.SkipWithError("the background build did not produce native code");
+      return;
+    }
+    r.instance.reset();
+    t.reset();
+    state.ResumeTiming();
+  }
+  state.counters["native_first_cycle"] = native_first;
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_Dect_TieredFirstCycle)->Unit(benchmark::kMillisecond);
 
 // The same image as one translation unit built by one host-compiler
 // process (emit_unit's text, with the jit's default compiler and flags):
@@ -362,6 +415,7 @@ void BM_Dect_SessionLibrary(benchmark::State& state) {
   req.design = &design->scheduler();
   req.engine = "jit";
   req.probes = design->default_probes();
+  req.tiered = false;  // time native code
   const pipeline::CompileResult r = pipeline::compile(req);
   if (!r.ok) {
     state.SkipWithError(r.error.c_str());
@@ -414,9 +468,21 @@ void BM_Dect_SessionService(benchmark::State& state) {
   Json poke = request("poke");
   poke.set("net", Json::string("hold_request"));
   poke.set("value", Json::number(0.0));
+  // Time native code: run the session until a reply says the jit swapped
+  // (the protocol has no blocking open), then read from that cycle on.
+  Json step = request("run");
+  Json stepped;
+  for (const auto t0 = std::chrono::steady_clock::now();
+       !(stepped = call(step)).get_bool("native");) {
+    if (!stepped.get_bool("ok") || std::chrono::steady_clock::now() - t0 > std::chrono::minutes(5)) {
+      state.SkipWithError("the jit session never ran native code");
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   Json run = request("run");
   run.set("cycles", Json::number(kSessionCycles));
-  std::size_t since = 0;
+  auto since = static_cast<std::size_t>(stepped.get_number("cycle"));
   std::vector<double> read;
   for (auto _ : state) {
     bool ok = call(poke).get_bool("ok") && call(run).get_bool("ok");

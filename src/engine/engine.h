@@ -39,9 +39,11 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "diag/diag.h"
 #include "opt/options.h"
 #include "verify/gen.h"
 
@@ -75,6 +77,24 @@ struct TraceOptions {
   /// from lane 0 is a determinism-contract violation reported via
   /// Trace::fail_reason). Other engines ignore it. 0 is treated as 1.
   unsigned lanes = 4;
+  /// jit: return before native code is built and run the tape until it
+  /// lands (jit::JitOptions::tiered). The trace loops leave it off, so
+  /// they exercise native code from the swap cycle on.
+  bool tiered = false;
+  /// jit: the earliest cycle native code may take over at
+  /// (jit::JitOptions::hold_swap).
+  std::uint64_t hold_swap = 0;
+  /// Sink for the engine's own findings (JIT-00x); null = the engine's
+  /// own. A tiered jit reports at a later cycle boundary, so the sink must
+  /// outlive the instance.
+  diag::DiagEngine* diagnostics = nullptr;
+};
+
+/// Which code a tiered engine (jit) runs: it starts on the compiled tape
+/// and swaps to native code at a cycle boundary once that is built.
+struct Tier {
+  bool native = false;
+  std::uint64_t swap_cycle = 0;  ///< first cycle run natively (when native)
 };
 
 /// One engine's replay of a spec. `values[cycle][probe]` follows
@@ -124,6 +144,8 @@ class Instance {
   virtual bool from_cache() const { return false; }
   /// Wall-clock seconds spent in an external compiler (0 on a store hit).
   virtual double compile_seconds() const { return 0.0; }
+  /// The running tier of a tiered engine; nullopt for the others.
+  virtual std::optional<Tier> tier() const { return std::nullopt; }
 };
 
 class Engine {

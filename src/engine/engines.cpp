@@ -44,6 +44,9 @@ jit::JitOptions jit_options(const TraceOptions& opts) {
   jit::JitOptions jo;
   jo.cxx = opts.cxx;
   jo.cache_dir = opts.store_dir;
+  jo.diagnostics = opts.diagnostics;
+  jo.tiered = opts.tiered;
+  jo.hold_swap = opts.hold_swap;
   return jo;
 }
 
@@ -232,6 +235,9 @@ class JitInstance : public Instance {
   }
   bool from_cache() const override { return js_.from_cache(); }
   double compile_seconds() const override { return js_.compile_seconds(); }
+  std::optional<Tier> tier() const override {
+    return Tier{js_.native(), js_.swap_cycle()};
+  }
 
  private:
   std::unique_ptr<System> sys_;  ///< null when bound to a live scheduler

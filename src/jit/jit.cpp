@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <map>
+#include <semaphore>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -33,6 +35,8 @@ using sim::kJitAbi;
 // ---------------------------------------------------------------------------
 // External commands: posix_spawnp from an argv, stdout and stderr on one
 // pipe per command, every running command's pipe polled from this thread.
+// A process-wide semaphore holds every caller together to
+// par::Pool::hardware_lanes() running commands.
 
 std::string Command::text() const {
   std::string t;
@@ -100,24 +104,47 @@ bool drain(Running& r) {
   return true;
 }
 
+/// The process's running commands, across every caller. Never destroyed:
+/// builds still running at exit use it until they are joined.
+std::counting_semaphore<>& host_lanes() {
+  static auto* lanes = new std::counting_semaphore<>(par::Pool::hardware_lanes());
+  return *lanes;
+}
+
 }  // namespace
 
 void run_commands(std::vector<Command>& cmds, unsigned lanes) {
+  lanes = std::max(lanes, 1u);
+  std::counting_semaphore<>& host = host_lanes();
   std::vector<Running> live;
   std::vector<pollfd> fds;
   std::size_t next = 0;
   while (next < cmds.size() || !live.empty()) {
-    for (Running r; live.size() < std::max(lanes, 1u) && next < cmds.size();)
-      if (start(cmds[next++], &r)) live.push_back(r);
+    // Block for a process lane only while none of ours runs: a command of
+    // ours must keep being drained, or a full pipe would stall it forever.
+    while (live.size() < lanes && next < cmds.size()) {
+      if (!live.empty() && !host.try_acquire()) break;
+      if (live.empty()) host.acquire();
+      Running r;
+      if (start(cmds[next++], &r))
+        live.push_back(r);
+      else
+        host.release();
+    }
     if (live.empty()) continue;
     fds.clear();
     for (const Running& r : live) fds.push_back(pollfd{r.fd, POLLIN, 0});
-    if (::poll(fds.data(), fds.size(), -1) < 0 && errno != EINTR) {
+    // Commands held back for a process lane retry every 20 ms.
+    const int timeout = next < cmds.size() && live.size() < lanes ? 20 : -1;
+    if (::poll(fds.data(), fds.size(), timeout) < 0 && errno != EINTR) {
       // Not expected; block on each command in turn instead.
       for (pollfd& p : fds) p.revents = POLLIN;
     }
     for (std::size_t i = live.size(); i-- > 0;)
-      if (fds[i].revents != 0 && drain(live[i])) live.erase(live.begin() + static_cast<long>(i));
+      if (fds[i].revents != 0 && drain(live[i])) {
+        live.erase(live.begin() + static_cast<long>(i));
+        host.release();
+      }
   }
 }
 
@@ -194,87 +221,94 @@ std::uint64_t content_key(const sim::UnitParts& unit, const JitOptions& jopts) {
 }
 
 // ---------------------------------------------------------------------------
-// Compile + load.
+// Load, build and compile.
 
-bool JitSystem::load(const std::string& path, std::string* why) {
-  void* h = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (h == nullptr) {
+struct Kernel {
+  std::string path;
+  void* handle = nullptr;
+  int (*cycle)(JitState*, int) = nullptr;
+  void (*begin)(JitState*) = nullptr;
+  int (*try_slot)(JitState*, int) = nullptr;
+  int (*finish)(JitState*) = nullptr;
+
+  Kernel() = default;
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
+  ~Kernel() {
+    if (handle != nullptr) dlclose(handle);
+  }
+};
+
+struct Build {
+  // Written by the build thread before `done` is set; read-only after.
+  std::shared_ptr<const Kernel> kernel;  ///< null when the build failed
+  std::vector<diag::Diagnostic> findings;
+  double compile_seconds = 0.0;
+  std::atomic<bool> done{false};
+};
+
+namespace {
+
+/// dlopen `path` and check that it is an artifact of this ABI revision and
+/// of the design whose IR hashes to `ir_hash`. Null with `why` on failure.
+std::shared_ptr<const Kernel> load(const std::string& path, std::uint64_t ir_hash,
+                                   std::string* why) {
+  auto k = std::make_shared<Kernel>();
+  k->handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (k->handle == nullptr) {
     const char* e = dlerror();
     *why = e != nullptr ? e : "dlopen failed";
-    return false;
+    return nullptr;
   }
-  std::shared_ptr<void> handle(h, [](void* p) { dlclose(p); });
-  const auto sym = [&](const char* name) { return dlsym(h, name); };
+  const auto sym = [&](const char* name) { return dlsym(k->handle, name); };
   auto* abi = reinterpret_cast<unsigned (*)()>(sym("asicpp_jit_abi"));
   auto* hash =
       reinterpret_cast<unsigned long long (*)()>(sym("asicpp_jit_ir_hash"));
-  auto* cyc = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_cycle"));
-  auto* begin =
-      reinterpret_cast<void (*)(JitState*)>(sym("asicpp_jit_begin"));
-  auto* try_slot =
-      reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_try_slot"));
-  auto* finish = reinterpret_cast<int (*)(JitState*)>(sym("asicpp_jit_finish"));
-  if (abi == nullptr || hash == nullptr || cyc == nullptr || begin == nullptr ||
-      try_slot == nullptr || finish == nullptr) {
+  k->cycle = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_cycle"));
+  k->begin = reinterpret_cast<void (*)(JitState*)>(sym("asicpp_jit_begin"));
+  k->try_slot = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_try_slot"));
+  k->finish = reinterpret_cast<int (*)(JitState*)>(sym("asicpp_jit_finish"));
+  if (abi == nullptr || hash == nullptr || k->cycle == nullptr || k->begin == nullptr ||
+      k->try_slot == nullptr || k->finish == nullptr) {
     *why = "missing entry point (not an asicpp jit artifact?)";
-    return false;
+    return nullptr;
   }
   if (abi() != kJitAbi) {
     *why = "ABI revision " + std::to_string(abi()) + ", this library expects " +
            std::to_string(kJitAbi);
-    return false;
+    return nullptr;
   }
-  if (hash() != cs_.state_hash()) {
+  if (hash() != ir_hash) {
     *why = "IR content hash mismatch (artifact belongs to a different design)";
-    return false;
+    return nullptr;
   }
-  so_ = std::move(handle);
-  fn_cycle_ = cyc;
-  fn_begin_ = begin;
-  fn_try_slot_ = try_slot;
-  fn_finish_ = finish;
-  artifact_path_ = path;
-  return true;
+  k->path = path;
+  return k;
 }
 
-JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
-                             const opt::PassOptions& passes,
-                             const JitOptions& jopts) {
-  JitSystem js(CS::compile(sched, passes));
-  // One origin for all of this engine's diagnostics, fallback included.
-  js.cs_.core_.origin = "jit engine";
+diag::Diagnostic& finding(Build& b, const char* code, std::string message) {
+  b.findings.push_back(diag::Diagnostic{diag::Severity::kWarning, code, "jit engine",
+                                        diag::kNoCycle, std::move(message), {}});
+  return b.findings.back();
+}
 
-  diag::DiagEngine& de =
-      jopts.diagnostics != nullptr ? *jopts.diagnostics : js.cs_.diagnostics();
-
-  const sim::UnitParts unit = js.cs_.emit_parts();
+/// The background half of a cold compile: write the unit, run the
+/// compilers, rename the object into the store and load it. Runs on a
+/// thread of its own and reports into `b` only.
+void run_build(Build& b, const sim::UnitParts& unit, const JitOptions& jopts,
+               const pipeline::ArtifactStore& store, std::uint64_t key,
+               std::uint64_t ir_hash) {
   const std::size_t nparts = unit.bodies.size();
-  const std::uint64_t key = content_key(unit, jopts);
-  const pipeline::ArtifactStore store(jopts.cache_dir);
   const std::string so = store.path("jit", key, "so");
   const std::string cpp = store.path("jit", key, "cpp");
-  std::string why;
-
-  if (!jopts.force_recompile && store.contains("jit", key, "so")) {
-    if (js.load(so, &why)) {
-      js.from_cache_ = true;
-      js.native_ = true;
-      return js;
-    }
-    de.warning("JIT-004", "jit engine",
-               "discarding stale or corrupt cache entry " + so + ": " + why);
-    store.discard("jit", key, "so");
-  }
-
   const auto cannot_write = [&](const std::string& what) {
-    de.warning("JIT-002", "jit engine",
-               "cannot write " + what + "; falling back to interpreted tape");
+    finding(b, "JIT-002", "cannot write " + what + "; falling back to interpreted tape");
   };
   std::string source = unit.prelude;
   for (const std::string& body : unit.bodies) source += body;
   if (!store.put("jit", key, "cpp", source)) {
     cannot_write(cpp);
-    return js;
+    return;
   }
 
   // A split unit's parts and objects go to a private directory beside the
@@ -290,7 +324,7 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
     std::string templ = store.path("jit", key, "parts.XXXXXX");
     if (::mkdtemp(templ.data()) == nullptr) {
       cannot_write(templ);
-      return js;
+      return;
     }
     tmpdir.path = templ;
     for (std::size_t k = 0; k < nparts; ++k) {
@@ -300,7 +334,7 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
       os.flush();
       if (!os.good()) {
         cannot_write(path);
-        return js;
+        return;
       }
     }
   }
@@ -321,38 +355,149 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
     }
     return true;
   });
-  js.compile_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  b.compile_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (!built) {
     if (failed.start_error != 0) {
-      de.warning("JIT-001", "jit engine",
-                 "host toolchain missing ('" + jopts.cxx + "': " +
-                     std::generic_category().message(failed.start_error) +
-                     "); falling back to interpreted tape");
+      finding(b, "JIT-001",
+              "host toolchain missing ('" + jopts.cxx +
+                  "': " + std::generic_category().message(failed.start_error) +
+                  "); falling back to interpreted tape");
     } else if (failed.argv.empty()) {
       cannot_write(so);  // every command succeeded; the rename did not
     } else {
-      auto& d = de.warning("JIT-002", "jit engine",
-                           std::string(linking ? "generated parts failed to link"
-                                               : "generated source failed to compile") +
-                               "; falling back to interpreted tape");
+      auto& d = finding(b, "JIT-002",
+                        std::string(linking ? "generated parts failed to link"
+                                            : "generated source failed to compile") +
+                            "; falling back to interpreted tape");
       d.note("command: " + failed.text());
       const std::string& out = failed.output;
-      if (!out.empty())
-        d.note(out.size() > 2000 ? out.substr(0, 2000) + "..." : out);
+      if (!out.empty()) d.note(out.size() > 2000 ? out.substr(0, 2000) + "..." : out);
     }
-    return js;
+    return;
   }
 
-  if (!js.load(so, &why)) {
-    de.warning("JIT-003", "jit engine",
-               "compiled artifact failed to load (" + why +
-                   "); falling back to interpreted tape");
-    return js;
+  std::string why;
+  b.kernel = load(so, ir_hash, &why);
+  if (b.kernel == nullptr)
+    finding(b, "JIT-003",
+            "compiled artifact failed to load (" + why + "); falling back to interpreted tape");
+}
+
+/// Builds in flight, by store directory and content key. Never destroyed:
+/// builds still running at exit unregister here before they are joined.
+struct Flights {
+  std::mutex mu;
+  std::map<std::pair<std::string, std::uint64_t>, std::shared_ptr<Build>> running;
+};
+
+Flights& flights() {
+  static auto* f = new Flights;
+  return *f;
+}
+
+/// The build of `key` in `store`: the one in flight, else (when
+/// `check_store` and the store holds the artifact) null, else a new one
+/// started on `unit`, which it moves from. The store is checked under the
+/// registry's lock, which a build leaves only after its rename, so a build
+/// that lands meanwhile is found one way or the other.
+std::shared_ptr<Build> flight(const pipeline::ArtifactStore& store, std::uint64_t key,
+                              bool check_store, sim::UnitParts& unit,
+                              const JitOptions& jopts, std::uint64_t ir_hash) {
+  Flights& fl = flights();
+  const std::pair<std::string, std::uint64_t> id{store.dir(), key};
+  const std::lock_guard<std::mutex> lk(fl.mu);
+  if (const auto it = fl.running.find(id); it != fl.running.end()) return it->second;
+  if (check_store && store.contains("jit", key, "so")) return nullptr;
+  auto b = std::make_shared<Build>();
+  const auto failed = [](Build& build, const std::exception& ex) {
+    finding(build, "JIT-002",
+            std::string("build failed: ") + ex.what() + "; falling back to interpreted tape");
+  };
+  try {
+    par::spawn_background([b, id, store, key, ir_hash, jopts, unit = std::move(unit), failed] {
+      try {
+        run_build(*b, unit, jopts, store, key, ir_hash);
+      } catch (const std::exception& ex) {
+        failed(*b, ex);
+      }
+      {
+        Flights& fl = flights();
+        const std::lock_guard<std::mutex> lk(fl.mu);
+        fl.running.erase(id);
+      }
+      b->done.store(true, std::memory_order_release);
+      b->done.notify_all();
+    });
+  } catch (const std::exception& ex) {  // no thread: a build that failed at once
+    failed(*b, ex);
+    b->done.store(true);
+    return b;
   }
-  js.native_ = true;
+  fl.running.emplace(id, b);
+  return b;
+}
+
+}  // namespace
+
+std::string JitSystem::artifact_path() const {
+  return kernel_ != nullptr ? kernel_->path : std::string();
+}
+
+JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
+                             const opt::PassOptions& passes,
+                             const JitOptions& jopts) {
+  JitSystem js(CS::compile(sched, passes));
+  // One origin for all of this engine's diagnostics, fallback included.
+  js.cs_.core_.origin = "jit engine";
+  js.sink_ = jopts.diagnostics;
+  js.hold_swap_ = jopts.hold_swap;
+
+  sim::UnitParts unit = js.cs_.emit_parts();
+  const std::uint64_t key = content_key(unit, jopts);
+  const pipeline::ArtifactStore store(jopts.cache_dir);
+  const std::uint64_t ir_hash = js.cs_.state_hash();
+
+  js.build_ = flight(store, key, !jopts.force_recompile, unit, jopts, ir_hash);
+  if (js.build_ == nullptr) {
+    // A stored artifact: a build that has already ended.
+    const std::string so = store.path("jit", key, "so");
+    std::string why;
+    if (std::shared_ptr<const Kernel> k = load(so, ir_hash, &why)) {
+      js.build_ = std::make_shared<Build>();
+      js.build_->kernel = std::move(k);
+      js.build_->done.store(true);
+      js.from_cache_ = true;
+    } else {
+      diag::DiagEngine& de = js.sink_ != nullptr ? *js.sink_ : js.cs_.diagnostics();
+      de.warning("JIT-004", "jit engine",
+                 "discarding stale or corrupt cache entry " + so + ": " + why);
+      store.discard("jit", key, "so");
+      js.build_ = flight(store, key, false, unit, jopts, ir_hash);
+    }
+  }
+  if (!jopts.tiered) js.build_->done.wait(false, std::memory_order_acquire);
+  js.take_build();
   return js;
+}
+
+void JitSystem::take_build() {
+  const Build& b = *build_;
+  if (!b.done.load(std::memory_order_acquire)) return;
+  if (b.kernel != nullptr && cs_.cycles_ < hold_swap_) return;
+  diag::DiagEngine& de = sink_ != nullptr ? *sink_ : cs_.diagnostics();
+  for (const diag::Diagnostic& d : b.findings) de.report(d);
+  compile_seconds_ = b.compile_seconds;
+  if (b.kernel != nullptr) {
+    kernel_ = b.kernel;
+    fn_cycle_ = kernel_->cycle;
+    fn_begin_ = kernel_->begin;
+    fn_try_slot_ = kernel_->try_slot;
+    fn_finish_ = kernel_->finish;
+    native_ = true;
+    swap_cycle_ = cs_.cycles_;
+  }
+  build_.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -421,20 +566,20 @@ void JitSystem::native_cycle() {
 }
 
 void JitSystem::cycle() {
-  if (!native_) {
+  if (build_ != nullptr) take_build();
+  if (native_)
+    native_cycle();
+  else
     cs_.cycle();
-    return;
-  }
-  native_cycle();
 }
 
 RunResult JitSystem::run(const RunOptions& opts) {
-  // The tape engine already implements the full unified contract; use it
-  // directly for the fallback and for profiled runs (per-component timing
-  // needs the instrumented interpreter loop).
-  if (!native_ || opts.profile) return cs_.run(opts);
-
-  return cs_.run_steps(opts, [this] { native_cycle(); });
+  // Profiled runs stay on the tape engine, which implements the full
+  // unified contract (per-component timing needs the instrumented
+  // interpreter loop); every other run steps through cycle(), so a build
+  // that lands mid-run is taken over at the next cycle boundary.
+  if (opts.profile) return cs_.run(opts);
+  return cs_.run_steps(opts, [this] { cycle(); });
 }
 
 }  // namespace asicpp::jit

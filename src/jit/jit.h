@@ -13,10 +13,27 @@
 //
 // A one-part unit is compiled and linked by one compiler run. A split unit
 // (Image::parts; DECT has 4 parts) is written part by part into a private
-// directory, its parts are compiled to objects by up to
-// par::Pool::hardware_lanes() compiler processes at once, and the objects
-// are linked into the one shared object; the directory is removed on every
-// path. Every command runs from an argv vector, without a shell.
+// directory, its parts are compiled to objects concurrently, and the
+// objects are linked into the one shared object; the directory is removed
+// on every path. Every command runs from an argv vector, without a shell,
+// and all of the process's commands together (every build, and the cppgen
+// engine's) run at most par::Pool::hardware_lanes() at once.
+//
+// Two tiers. compile() returns once the tape is compiled, the unit is
+// emitted and the store has been checked. A stored artifact is loaded at
+// once. Otherwise a build (the part compiles, the link, the store's rename
+// and the load) runs on a background thread (par::spawn_background), and
+// until it lands the instance cycles on the tape. At the first cycle
+// boundary after the build ends, cycle() and run() take its kernel over
+// and native() flips; the kernel runs on the tape's own arrays, so traces,
+// probes and snapshots cannot tell the tiers apart. Without
+// JitOptions::tiered, compile() waits for the build before it returns, so
+// direct callers, diff_run and the fuzzer run native code from a known
+// cycle: 0, or JitOptions::hold_swap. Builds are single-flight per (store
+// directory, content key):
+// concurrent cold compiles of one unit share one build, and a build
+// outlives the instance that started it, so its artifact still lands in
+// the store. Builds still running at process exit are joined then.
 //
 // Compiled artifacts live in the shared content-addressed artifact store
 // (pipeline/artifact.h) under stage "jit": `jit-<key>.cpp` (the whole unit
@@ -29,7 +46,10 @@
 // design) pay compilation once.
 //
 // Every failure degrades gracefully to the interpreted tape (native()
-// returns false, traces stay bit-identical), with a structured diagnostic:
+// returns false, traces stay bit-identical), with a structured diagnostic.
+// A build reports into no DiagEngine: its findings are recorded into
+// JitOptions::diagnostics at the boundary that takes the build over, on
+// the thread that cycles the instance.
 //
 //   JIT-001 host toolchain missing (compiler not found or not runnable)
 //   JIT-002 generated source failed to compile or link (the note names
@@ -74,22 +94,36 @@ struct JitOptions {
   /// Recompile even when a cached artifact exists.
   bool force_recompile = false;
   /// JIT-00x diagnostics sink (falls back to the compiled system's engine).
+  /// A tiered instance reports its build's findings at a later cycle
+  /// boundary, so the sink must outlive the instance.
   diag::DiagEngine* diagnostics = nullptr;
+  /// Return without waiting for a cold build: the tape runs until native
+  /// code lands. false: compile() waits for the build.
+  bool tiered = false;
+  /// Cycles to run on the tape even once native code is ready: the kernel
+  /// takes over at the first cycle boundary at or after this cycle. Tests
+  /// and the fuzzer's jit axis place the swap with it.
+  std::uint64_t hold_swap = 0;
 };
+
+struct Kernel;  ///< a loaded artifact's handle and entry points (jit.cpp)
+struct Build;   ///< a background build, shared by its key's instances (jit.cpp)
 
 class JitSystem {
  public:
   /// Compile `sched` to tape form (exactly CompiledSystem::compile), emit
-  /// the optimized IR as C++, and build/load the native cycle kernel.
+  /// the optimized IR as C++, and load the native cycle kernel from the
+  /// store or build it (waiting for the build unless jopts.tiered).
   /// Never throws for toolchain problems — on any JIT failure the instance
   /// falls back to interpreting the tape and native() reports false.
   static JitSystem compile(const sched::CycleScheduler& sched,
                            const opt::PassOptions& passes = {},
                            const JitOptions& jopts = {});
 
-  /// Simulate one clock cycle (native kernel, or the tape fallback).
-  /// Semantics identical to CompiledSystem's cycle(), including
-  /// sched::DeadlockError with the SCHED-001 post-mortem.
+  /// Simulate one clock cycle (native kernel, or the tape). Takes over a
+  /// build that has ended first. Semantics identical to CompiledSystem's
+  /// cycle(), including sched::DeadlockError with the SCHED-001
+  /// post-mortem.
   void cycle();
 
   /// Unified engine entry point: cycles, watchdogs, schedule mode,
@@ -102,12 +136,15 @@ class JitSystem {
 
   /// True when the native kernel is loaded and driving cycle().
   bool native() const { return native_; }
+  /// The first cycle the native kernel ran (when native()).
+  std::uint64_t swap_cycle() const { return swap_cycle_; }
   /// True when compile() reused a cached artifact (no compiler run).
   bool from_cache() const { return from_cache_; }
-  /// Wall-clock seconds spent in the external compiler (0 on cache hit).
+  /// Wall-clock seconds the build spent in the external compiler (0 on a
+  /// cache hit, and while a tiered build runs).
   double compile_seconds() const { return compile_seconds_; }
   /// Path of the loaded shared object (empty when !native()).
-  const std::string& artifact_path() const { return artifact_path_; }
+  std::string artifact_path() const;
 
   // --- pass-through surface (same behaviour as CompiledSystem) ---
 
@@ -140,7 +177,9 @@ class JitSystem {
 
   sim::JitState make_state();
   void native_cycle();
-  bool load(const std::string& path, std::string* why);
+  /// At a cycle boundary: take over build_ once it has ended, its findings
+  /// at once and its kernel from cycle hold_swap_ on.
+  void take_build();
   static int fire_untimed_cb(void* host, int comp);
 
   // The tape engine this kernel replaces cycle by cycle: the native code
@@ -151,8 +190,12 @@ class JitSystem {
   bool native_ = false;
   bool from_cache_ = false;
   double compile_seconds_ = 0.0;
-  std::string artifact_path_;
-  std::shared_ptr<void> so_;  ///< dlopen handle (dlclose on last owner)
+  std::uint64_t swap_cycle_ = 0;
+  std::uint64_t hold_swap_ = 0;
+  diag::DiagEngine* sink_ = nullptr;  ///< JitOptions::diagnostics
+  /// The build this instance has not taken over yet; null once it has.
+  std::shared_ptr<Build> build_;
+  std::shared_ptr<const Kernel> kernel_;  ///< null until native
   // Exported entry points of the loaded object.
   int (*fn_cycle_)(sim::JitState*, int) = nullptr;
   void (*fn_begin_)(sim::JitState*) = nullptr;
@@ -194,9 +237,10 @@ struct Command {
   std::string text() const;
 };
 
-/// Run every command, at most `lanes` (>= 1) at once, filling in their
-/// status and output. Used for the host-compiler runs of the JIT and of
-/// the cppgen engine.
+/// Run every command, at most `lanes` (>= 1) at once and within the
+/// process-wide limit of par::Pool::hardware_lanes() running commands,
+/// filling in their status and output. Used for the host-compiler runs of
+/// the JIT and of the cppgen engine.
 void run_commands(std::vector<Command>& cmds, unsigned lanes);
 
 /// Run one command, appending its stdout and stderr to `out`. Returns the

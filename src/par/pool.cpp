@@ -1,6 +1,9 @@
 #include "par/pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <list>
 
 #include "diag/diag.h"
 
@@ -20,6 +23,11 @@ struct RegionGuard {
 }  // namespace
 
 unsigned Pool::hardware_lanes() {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
 }
@@ -173,6 +181,53 @@ void Pool::parallel_for(std::size_t n,
     if (job_ == job) job_ = nullptr;
   }
   if (job->err) std::rethrow_exception(job->err);
+}
+
+namespace {
+
+/// The threads of spawn_background(). Each task sets its flag as its last
+/// act; the next spawn joins the flagged ones, and the destructor, which
+/// runs at process exit, joins the rest.
+class Background {
+ public:
+  ~Background() {
+    std::list<Task> tasks;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      tasks.swap(tasks_);
+    }
+    for (Task& t : tasks) t.thread.join();
+  }
+
+  void spawn(std::function<void()> fn) {
+    std::lock_guard<std::mutex> lk(mu_);
+    tasks_.remove_if([](Task& t) {
+      if (!t.done->load(std::memory_order_acquire)) return false;
+      t.thread.join();
+      return true;
+    });
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    std::thread thread([fn = std::move(fn), done] {
+      fn();
+      done->store(true, std::memory_order_release);
+    });
+    tasks_.push_back(Task{std::move(thread), std::move(done)});
+  }
+
+ private:
+  struct Task {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  std::mutex mu_;
+  std::list<Task> tasks_;
+};
+
+}  // namespace
+
+void spawn_background(std::function<void()> task) {
+  static Background background;
+  background.spawn(std::move(task));
 }
 
 }  // namespace asicpp::par

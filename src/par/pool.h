@@ -6,6 +6,8 @@
 // created: a small work-stealing pool shared by the level-parallel cycle
 // engines (sched/cyclesched, sim/compiled), the batched differential
 // driver (verify/diffrun), and the fuzzer front end (tools/asicpp-fuzz).
+// spawn_background() adds one thread per long-running task that must not
+// hold up its caller (the jit's background builds).
 //
 // Design rules, in priority order:
 //
@@ -79,7 +81,10 @@ class Pool {
 
   unsigned lanes() const { return lanes_; }
 
-  /// max(1, std::thread::hardware_concurrency()).
+  /// The CPUs this thread may run on (its sched_getaffinity mask), so a
+  /// process held to fewer CPUs by taskset or a cgroup cpuset sizes itself
+  /// to them; max(1, std::thread::hardware_concurrency()) when the mask
+  /// cannot be read.
   static unsigned hardware_lanes();
 
   /// True on a thread currently executing parallel_for tasks (including
@@ -154,5 +159,12 @@ class Pool {
   std::uint64_t generation_ = 0;   ///< bumped per job so lanes run each once
   bool stop_ = false;
 };
+
+/// Run `task` on a thread of its own and return at once. For work that
+/// must outlive the request that started it: the jit's background builds.
+/// No thread is ever detached: a finished task's thread is joined by a
+/// later call, and every task still running is joined when the process
+/// exits (main returning, or exit()). `task` must not throw.
+void spawn_background(std::function<void()> task);
 
 }  // namespace asicpp::par

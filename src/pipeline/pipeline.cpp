@@ -22,6 +22,9 @@ engine::TraceOptions trace_options(const CompileRequest& req) {
   t.cxx = req.cxx;
   t.store_dir = req.store_dir;
   t.lanes = req.lanes;
+  t.tiered = req.tiered;
+  t.hold_swap = req.hold_swap;
+  t.diagnostics = req.diagnostics;
   return t;
 }
 

@@ -15,9 +15,12 @@
 // and returns a `CompileResult` owning the instance, with per-stage wall
 // times, the content-addressed spec key, and whether the engine served its
 // compile artifact from the shared ArtifactStore (the jit engine's warm
-// path). diff_run, the benches, asicpp-fuzz's corpus replays and every
-// simulation-service session go through this one path, so "how a design
-// becomes something that cycles" exists exactly once.
+// path). A cold jit bind is tiered by default: it returns once the unit is
+// emitted, and native code takes over from the tape when its background
+// build lands (CompileRequest::tiered). diff_run, the benches,
+// asicpp-fuzz's corpus replays and every simulation-service session go
+// through this one path, so "how a design becomes something that cycles"
+// exists exactly once.
 //
 // Failures are values, not exceptions: `ok == false` with a one-line
 // `error`, and (when a DiagEngine is attached) a structured finding:
@@ -65,7 +68,15 @@ struct CompileRequest {
   std::string store_dir;
   /// Lane count for the batched engine.
   unsigned lanes = 4;
-  /// Optional sink for PIPE diagnostics.
+  /// jit: return once the unit is emitted and cycle on the tape until the
+  /// native code, built in the background, takes over at a cycle boundary.
+  /// false: wait for native code (diff_run, and benches that time it).
+  bool tiered = true;
+  /// jit: the earliest cycle native code may take over at.
+  std::uint64_t hold_swap = 0;
+  /// Optional sink for PIPE diagnostics and the engine's own findings
+  /// (JIT-00x). A tiered jit reports its build's findings at a later cycle
+  /// boundary, so a sink must outlive the instance.
   diag::DiagEngine* diagnostics = nullptr;
 };
 
@@ -90,7 +101,8 @@ struct CompileResult {
   std::uint64_t spec_key = 0;
   /// The engine served its compile artifact from the shared ArtifactStore.
   bool store_hit = false;
-  /// Seconds the engine spent in an external compiler (0 on a store hit).
+  /// Seconds the engine spent in an external compiler (0 on a store hit,
+  /// and for a tiered bind, which does not wait for the compiler).
   double compile_seconds = 0.0;
   std::vector<StageTiming> stages;
   /// Nets to observe: the spec's probe list, or the request's for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -39,6 +40,15 @@ Json coded_error(const char* code, const std::string& why) {
   j.set("code", Json::string(code));
   j.set("error", Json::string(why));
   return j;
+}
+
+/// The tier of a tiered engine's instance (jit): "native", and the
+/// "swap_cycle" once native code runs. Nothing for the other engines.
+void set_tier(Json& j, const engine::Instance& inst) {
+  const std::optional<engine::Tier> tier = inst.tier();
+  if (!tier) return;
+  j.set("native", Json::boolean(tier->native));
+  if (tier->native) j.set("swap_cycle", Json::number(static_cast<double>(tier->swap_cycle)));
 }
 
 /// Reads the count field `name` of `req` into `out`, or `dflt` when the
@@ -226,6 +236,7 @@ Json Service::op_open(const Json& req) {
   }
   j.set("stages", std::move(stages));
   j.set("cycle", Json::number(0));
+  set_tier(j, *sess->compiled.instance);
   return j;
 }
 
@@ -262,6 +273,7 @@ Json Service::op_run(const Json& req) {
   }
   Json j = ok_json();
   j.set("cycle", Json::number(static_cast<double>(sess->cycle)));
+  set_tier(j, inst);
   return j;
 }
 
@@ -405,6 +417,7 @@ Json Service::op_fork(const Json& req) {
   j.set("session", Json::string(id));
   j.set("cycle", Json::number(static_cast<double>(child->cycle)));
   j.set("store_hit", Json::boolean(child->compiled.store_hit));
+  set_tier(j, *child->compiled.instance);
   return j;
 }
 

@@ -21,15 +21,23 @@
 // share compile artifacts through the content-addressed ArtifactStore (a
 // second jit session of a design the store has seen pays no compiler
 // run), and every session accumulates findings in its own DiagEngine, so
-// concurrent sessions never interleave diagnostics.
+// concurrent sessions never interleave diagnostics. A cold jit open does
+// not wait for the host compiler: the session cycles on the compiled tape
+// from cycle 0 while native code is built in the background, and swaps to
+// it at a cycle boundary once it lands (jit/jit.h). The open, run and fork
+// replies of a jit session say which code runs: "native", and from the
+// swap on "swap_cycle", the first cycle run natively. A build that failed
+// (JIT-001..003, e.g. a missing compiler) leaves "native" false and lists
+// its finding in the session's diag after the next run.
 //
 // Protocol (one JSON object per line; responses always carry "ok"):
 //
 //   {"op":"open","engine":"jit","spec":"spec wl=...\n..."}
+//       -> {"ok":true,"session":"s1",...,"store_hit":false,"native":false}
 //   {"op":"open","engine":"compiled","design":"quickstart","watch":["y"]}
 //       -> {"ok":true,"session":"s1","probes":[...],"store_hit":false,...}
 //   {"op":"run","session":"s1","cycles":16,"threads":2}
-//       -> {"ok":true,"cycle":16}
+//       -> {"ok":true,"cycle":16}   (jit: ...,"native":true,"swap_cycle":3)
 //   {"op":"poke","session":"s1","net":"x","value":1.5}  -> {"ok":true}
 //   {"op":"probe","session":"s1","net":"y"}   -> {"ok":true,"value":0.5}
 //   {"op":"trace","session":"s1","since":8}   -> {"ok":true,"from":8,"rows":[...]}

@@ -15,13 +15,21 @@ std::string engine_pair(const std::string& a, const std::string& b) {
   return a + " vs " + b;
 }
 
-engine::TraceOptions trace_options(const DiffOptions& opts) {
+/// The cycle at which the jit engine's native code takes over from the
+/// tape, drawn from the seed within the first half of the run: a fuzz
+/// campaign covers swaps, and every trace still ends on native code.
+std::uint64_t swap_cycle(const Spec& spec) {
+  return ((spec.seed * 0x9E3779B97F4A7C15ull) >> 32) % (spec.cycles / 2 + 1);
+}
+
+engine::TraceOptions trace_options(const Spec& spec, const DiffOptions& opts) {
   engine::TraceOptions t;
   t.passes = opts.passes;
   t.workdir = opts.workdir;
   t.cxx = opts.cxx;
   t.store_dir = opts.store_dir;
   t.lanes = opts.lanes;
+  t.hold_swap = swap_cycle(spec);
   return t;
 }
 
@@ -47,6 +55,8 @@ EngineTrace trace_via_pipeline(const Spec& spec, const std::string& name,
   req.cxx = opts.cxx;
   req.store_dir = opts.store_dir;
   req.lanes = opts.lanes;
+  req.tiered = false;
+  req.hold_swap = swap_cycle(spec);
   pipeline::CompileResult c = pipeline::compile(req);
   if (!c.ok) {
     if (c.code == "PIPE-004")
@@ -157,7 +167,7 @@ DiffResult diff_run(const Spec& spec, const DiffOptions& opts) {
     for (const std::string& name : opts.engines)
       engines.push_back(&reg.at(name));  // throws listing registered names
   }
-  const engine::TraceOptions topts = trace_options(opts);
+  const engine::TraceOptions topts = trace_options(spec, opts);
 
   const auto apply_mutant = [&](EngineTrace& t) {
     if (t.ran && opts.mutant.enabled && opts.mutant.engine == t.engine &&

@@ -14,7 +14,10 @@
 //   gates     — whole-system synthesis to a gate netlist, simulated with
 //               netlist::LevelizedSim, output buses read back as values
 //   jit       — the in-process JIT (src/jit): the optimized tape emitted
-//               as C++, compiled to a shared object and dlopen'd
+//               as C++, compiled to a shared object and dlopen'd; it runs
+//               the tape up to a cycle drawn from the seed (in the first
+//               half of the run) and swaps to native code there, so each
+//               fuzz seed also covers a tier swap
 //   batched   — the lane-batched SoA evaluator (src/batch): the spec runs
 //               in every lane of an N-wide batch, the reported trace comes
 //               from lane seed % N, and lane invariance is asserted every

@@ -1,7 +1,9 @@
 // In-process JIT engine: artifact cache hit/miss/corruption, JIT-001..004
 // graceful degradation, snapshot round-trips bound to the IR hash, the
 // engine registry, the 200-seed jit differential axis, the unit compiled
-// in parts, and the host compiler run without a shell.
+// in parts, the host compiler run without a shell, and the two tiers: the
+// swap from the tape to native code at every cycle, and single-flight
+// background builds.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -14,8 +16,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/snapshot.h"
@@ -23,10 +27,15 @@
 #include "dect/vliw.h"
 #include "diag/diag.h"
 #include "engine/engine.h"
+#include "fixpt/fixed.h"
 #include "jit/jit.h"
 #include "pipeline/artifact.h"
+#include "sched/cyclesched.h"
+#include "sched/untimed.h"
 #include "service/json.h"
 #include "service/service.h"
+#include "sfg/clk.h"
+#include "sfg/sig.h"
 #include "sim/compiled.h"
 #include "verify/diffrun.h"
 #include "verify/gen.h"
@@ -868,6 +877,333 @@ TEST(JitCommand, RunsConcurrentlyAndCapturesEachCommand) {
     if (lanes == 1) EXPECT_GE(s, 1.6);  // one at a time
     else EXPECT_LT(s, 1.5);             // the four sleeps overlap
   }
+}
+
+// --- tiers: the tape from cycle 0, native code from the swap on -------------
+
+/// The paper's Fig 6 three-component circular system, as the jit smoke tool
+/// builds it; its untimed closure runs on the host side of the jit ABI.
+const fixpt::Format kFig6F{16, 7, true, fixpt::Quant::kRound, fixpt::Overflow::kSaturate};
+
+struct Fig6System {
+  const fixpt::Format kF = kFig6F;
+  sfg::Clk clk;
+  sched::CycleScheduler sched{clk};
+  sfg::Reg state{"state", clk, kF, 1.0};
+  sfg::Sig in1 = sfg::Sig::input("in1", kF);
+  sfg::Sfg s1{"s1"};
+  sched::SfgComponent c1{"comp1", s1};
+  sfg::Sig in2 = sfg::Sig::input("in2", kF);
+  sfg::Sfg s2{"s2"};
+  sched::SfgComponent c2{"comp2", s2};
+  sched::UntimedComponent c3{
+      "comp3", [](const std::vector<fixpt::Fixed>& in, std::vector<fixpt::Fixed>& out) {
+        out.push_back(in[0] + fixpt::Fixed(1.0));
+      }};
+
+  Fig6System() {
+    s1.in(in1).out("out1", state.sig()).assign(state, (in1 * 0.5).cast(kF));
+    s2.in(in2).out("out2", in2 * 2.0);
+    c1.bind_output("out1", sched.net("n12"));
+    c2.bind_input(in2, sched.net("n12"));
+    c2.bind_output("out2", sched.net("n23"));
+    c3.bind_input(sched.net("n23"));
+    c3.bind_output(sched.net("n31"));
+    c1.bind_input(in1, sched.net("n31"));
+    sched.add(c1);
+    sched.add(c2);
+    sched.add(c3);
+  }
+  sched::CycleScheduler& scheduler() { return sched; }
+};
+
+constexpr std::uint64_t kSwapCycles = 200;         ///< swaps at k in [0, 200)
+constexpr std::uint64_t kSwapRun = kSwapCycles + 8;  ///< cycles per run
+
+/// Every named net's value after each cycle in [from, to); `drive(c)` runs
+/// before cycle c.
+template <class Sim, class Drive>
+Rows rows_between(Sim& sim, const std::vector<std::string>& nets, std::uint64_t from,
+                  std::uint64_t to, const Drive& drive) {
+  Rows rows;
+  for (std::uint64_t c = from; c < to; ++c) {
+    drive(c);
+    sim.cycle();
+    std::vector<double> row;
+    for (const std::string& n : nets) row.push_back(sim.net_value(n));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// For every k in [0, 200): a jit whose swap is held until cycle k gives
+/// the tape's trace of every net, as the blocking jit does, and runs
+/// natively from cycle k on; a snapshot taken before the swap (at k / 2)
+/// restores after it, into a native instance and into the compiled tape,
+/// and both replay the rest bit for bit. `make()` builds a fresh design;
+/// `drive(d, c)` runs before cycle c. With `in_place` the snapshot restores
+/// into the instance that took it, after its run; a design whose untimed
+/// closures keep state outside the snapshot (DECT's RAMs) instead restores
+/// into fresh instances that ran the same cycles up to the snapshot.
+template <class Make, class Drive>
+void check_swaps(const std::string& store, bool in_place, const Make& make,
+                 const Drive& drive) {
+  const auto driving = [&](auto& d) { return [&](std::uint64_t c) { drive(d, c); }; };
+  auto ref = make();
+  sim::CompiledSystem tape = sim::CompiledSystem::compile(ref->scheduler());
+  const std::vector<std::string> nets = net_names(ref->scheduler());
+  const Rows want = rows_between(tape, nets, 0, kSwapRun, driving(*ref));
+
+  jit::JitOptions jo;
+  jo.cache_dir = store;
+  // Alive to the end, which keeps the object mapped for the loop's loads.
+  auto bd = make();
+  jit::JitSystem blocking = jit::JitSystem::compile(bd->scheduler(), {}, jo);
+  ASSERT_TRUE(blocking.native());
+  EXPECT_EQ(blocking.swap_cycle(), 0u);
+  ASSERT_EQ(rows_between(blocking, nets, 0, kSwapRun, driving(*bd)), want);
+  auto other = make();
+  sim::CompiledSystem restored = sim::CompiledSystem::compile(other->scheduler());
+  for (std::uint64_t k = 0; k < kSwapCycles; ++k) {
+    SCOPED_TRACE("swap held until cycle " + std::to_string(k));
+    auto d = make();
+    jo.hold_swap = k;
+    jit::JitSystem js = jit::JitSystem::compile(d->scheduler(), {}, jo);
+    const std::uint64_t j = k / 2;
+    Rows got = rows_between(js, nets, 0, j, driving(*d));
+    ASSERT_EQ(js.native(), k == 0);
+    std::stringstream snap;
+    js.save_state(snap);
+    const Rows rest = rows_between(js, nets, j, kSwapRun, driving(*d));
+    got.insert(got.end(), rest.begin(), rest.end());
+    ASSERT_TRUE(js.native());
+    ASSERT_EQ(js.swap_cycle(), k);
+    ASSERT_EQ(got, want);
+
+    const Rows want_rest(want.begin() + static_cast<long>(j), want.end());
+    const auto replay = [&](auto& sim, auto& design) {
+      snap.clear();
+      snap.seekg(0);
+      sim.restore_state(snap);
+      ASSERT_EQ(rows_between(sim, nets, j, kSwapRun, driving(design)), want_rest);
+    };
+    if (in_place) {
+      replay(js, *d);
+      replay(restored, *other);
+      continue;
+    }
+    auto dn = make();
+    jit::JitOptions now = jo;
+    now.hold_swap = 0;
+    jit::JitSystem native = jit::JitSystem::compile(dn->scheduler(), {}, now);
+    ASSERT_TRUE(native.native());
+    rows_between(native, nets, 0, j, driving(*dn));
+    replay(native, *dn);
+    auto dc = make();
+    sim::CompiledSystem cs = sim::CompiledSystem::compile(dc->scheduler());
+    rows_between(cs, nets, 0, j, driving(*dc));
+    replay(cs, *dc);
+  }
+}
+
+TEST(JitSwap, DectAtEveryCycle) {
+  const std::string cache = fresh_cache("asicpp_jit_swap_dect");
+  check_swaps(
+      cache, /*in_place=*/false, [] { return std::make_unique<dect::DectTransceiver>(); },
+      [](dect::DectTransceiver& t, std::uint64_t c) {
+        t.drive_sample(static_cast<double>(c % 7) * 0.125 - 0.375);
+      });
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitSwap, HcorAtEveryCycle) {
+  const std::string cache = fresh_cache("asicpp_jit_swap_hcor");
+  check_swaps(
+      cache, /*in_place=*/true, [] { return std::make_unique<dect::Hcor>(); },
+      [](dect::Hcor& h, std::uint64_t c) {
+        h.scheduler().net("rx").drive(fixpt::Fixed((c * 5 + c / 3) % 2 == 0 ? 1.0 : 0.0));
+      });
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitSwap, Fig6AtEveryCycle) {
+  const std::string cache = fresh_cache("asicpp_jit_swap_fig6");
+  check_swaps(
+      cache, /*in_place=*/true, [] { return std::make_unique<Fig6System>(); },
+      [](Fig6System&, std::uint64_t) {});
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitSwap, FiftyFuzzSpecsAtEveryCycle) {
+  const std::string cache = fresh_cache("asicpp_jit_swap_fuzz");
+  unsigned checked = 0;
+  for (unsigned seed = 0; checked < 50; ++seed) {
+    const Spec spec = generate(GenConfig{}, seed);
+    if (spec.has(CompKind::kAdapter)) continue;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_swaps(
+        cache, /*in_place=*/true, [&] { return std::make_unique<System>(spec); },
+        [](System&, std::uint64_t) {});
+    if (::testing::Test::HasFatalFailure()) return;
+    ++checked;
+  }
+  std::filesystem::remove_all(cache);
+}
+
+/// A host compiler that logs each run to `log`, then runs c++.
+std::string counting_compiler(const std::string& dir, const std::string& log) {
+  const std::string cc = dir + "/counting-cc";
+  std::ofstream os(cc);
+  os << "#!/bin/sh\necho run >> '" << log << "'\nexec c++ \"$@\"\n";
+  os.close();
+  ::chmod(cc.c_str(), 0755);
+  return cc;
+}
+
+std::size_t lines_in(const std::string& path) {
+  std::ifstream is(path);
+  std::size_t n = 0;
+  for (std::string line; std::getline(is, line);) ++n;
+  return n;
+}
+
+TEST(JitFlight, ConcurrentColdOpensShareOneBuild) {
+  const std::string cache = fresh_cache("asicpp_jit_flight");
+  const std::string log = cache + "/compiler-runs";
+  jit::JitOptions jo;
+  jo.cache_dir = cache;
+  jo.cxx = counting_compiler(cache, log);
+  jo.tiered = true;
+  const Spec spec = jit_spec(30);
+  constexpr int kOpens = 4;
+  std::vector<Rows> traces(kOpens);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kOpens; ++i)
+    threads.emplace_back([&, i] {
+      System sys(spec);
+      jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+      traces[static_cast<std::size_t>(i)] =
+          rows_between(js, net_names(sys.scheduler()), 0, spec.cycles, [](std::uint64_t) {});
+    });
+  for (std::thread& t : threads) t.join();
+
+  // A blocking compile of the same unit joins the build, or finds it
+  // stored: either way it adds no compiler run.
+  System sys(spec);
+  jit::JitOptions wait = jo;
+  wait.tiered = false;
+  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, wait);
+  ASSERT_TRUE(js.native());
+  EXPECT_EQ(lines_in(log), 1u);
+
+  System ref(spec);
+  sim::CompiledSystem tape = sim::CompiledSystem::compile(ref.scheduler());
+  const Rows want =
+      rows_between(tape, net_names(ref.scheduler()), 0, spec.cycles, [](std::uint64_t) {});
+  for (const Rows& t : traces) EXPECT_EQ(t, want);
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitTier, TieredOpenRunsTheTapeUntilItsBuildLands) {
+  const std::string cache = fresh_cache("asicpp_jit_tiered");
+  jit::JitOptions jo;
+  jo.cache_dir = cache;
+  jo.tiered = true;
+  const auto drive = [](dect::DectTransceiver& t) {
+    return [&t](std::uint64_t c) { t.drive_sample(static_cast<double>(c % 5) * 0.25 - 0.5); };
+  };
+  dect::DectTransceiver tt, tj;
+  sim::CompiledSystem tape = sim::CompiledSystem::compile(tt.scheduler());
+  jit::JitSystem js = jit::JitSystem::compile(tj.scheduler(), {}, jo);
+  EXPECT_FALSE(js.from_cache());
+  const std::vector<std::string> nets = net_names(tt.scheduler());
+  // Cycle both until the jit has run natively for a while (bounded).
+  std::uint64_t c = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!js.native() || c < js.swap_cycle() + 100) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(300));
+    ASSERT_EQ(rows_between(js, nets, c, c + 100, drive(tj)),
+              rows_between(tape, nets, c, c + 100, drive(tt)))
+        << "cycles " << c << "..";
+    c += 100;
+  }
+  EXPECT_GT(js.compile_seconds(), 0.0);
+  EXPECT_FALSE(js.artifact_path().empty());
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitTier, ClosedInstanceLeavesItsBuildToLandInTheStore) {
+  const std::string cache = fresh_cache("asicpp_jit_orphan");
+  jit::JitOptions jo;
+  jo.cache_dir = cache;
+  jo.tiered = true;
+  const Spec spec = jit_spec(31);
+  std::string so;
+  {
+    System sys(spec);
+    jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+    const pipeline::ArtifactStore store(cache);
+    so = store.path("jit", jit::content_key(sim::CompiledSystem::compile(sys.scheduler())
+                                                .emit_parts(),
+                                            jo),
+                    "so");
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!std::filesystem::exists(so)) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(120));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  System sys(spec);
+  jo.tiered = false;
+  EXPECT_TRUE(jit::JitSystem::compile(sys.scheduler(), {}, jo).from_cache());
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitTier, ProcessExitJoinsARunningBuild) {
+  // The death-test child runs this body again in a new process, so the
+  // store's name must not depend on the process id.
+  const std::string cache = ::testing::TempDir() + "asicpp_jit_exit_store";
+  std::filesystem::remove_all(cache);
+  std::filesystem::create_directories(cache);
+  jit::JitOptions jo;
+  jo.cache_dir = cache;
+  jo.tiered = true;
+  // The child opens DECT cold and exits at once, long before its ~1 s
+  // build ends: exit must wait for the build, which lands in the store.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        dect::DectTransceiver t;
+        jit::JitSystem js = jit::JitSystem::compile(t.scheduler(), {}, jo);
+        std::exit(js.native() ? 3 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  dect::DectTransceiver t;
+  jo.tiered = false;
+  EXPECT_TRUE(jit::JitSystem::compile(t.scheduler(), {}, jo).from_cache());
+  std::filesystem::remove_all(cache);
+}
+
+TEST(JitTier, MissingCompilerIsReportedAtTheFirstBoundary) {
+  const std::string cache = fresh_cache("asicpp_jit_tier_notool");
+  jit::JitOptions jo;
+  jo.cache_dir = cache;
+  jo.cxx = "/nonexistent/asicpp-no-such-compiler";
+  jo.tiered = true;
+  diag::DiagEngine de;
+  jo.diagnostics = &de;
+  const Spec spec = jit_spec(32);
+  System sys(spec);
+  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  // The build ends at once, but reports only at a cycle boundary, on the
+  // thread that cycles the instance.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!has_code(de, "JIT-001")) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(60));
+    js.cycle();
+  }
+  EXPECT_FALSE(js.native());
+  std::filesystem::remove_all(cache);
 }
 
 // --- CLI surface -----------------------------------------------------------

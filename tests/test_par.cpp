@@ -6,7 +6,10 @@
 // *bit-identical* to their serial counterparts, for any lane count.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -156,6 +159,41 @@ TEST(ParPool, SharedPoolHasTestableWidth) {
   // The shared pool is sized to at least 8 lanes so parallel paths stay
   // genuinely multi-threaded even on small CI machines.
   EXPECT_GE(par::Pool::shared().lanes(), 8u);
+}
+
+TEST(ParPool, HardwareLanesFollowTheAffinityMask) {
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+  const unsigned allowed = static_cast<unsigned>(CPU_COUNT(&mask));
+  EXPECT_EQ(par::Pool::hardware_lanes(), allowed);
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned pinned = par::Pool::hardware_lanes();
+  ASSERT_EQ(sched_setaffinity(0, sizeof mask, &mask), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(par::Pool::hardware_lanes(), allowed);
+}
+
+TEST(ParBackground, TasksRunOffTheCallerAndEveryOneFinishes) {
+  constexpr int kTasks = 64;
+  std::atomic<int> ran{0};
+  std::atomic<int> on_caller{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < kTasks; ++i)
+    par::spawn_background([&] {
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      ran.fetch_add(1);
+    });
+  const auto t0 = std::chrono::steady_clock::now();
+  while (ran.load() < kTasks) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(on_caller.load(), 0);
 }
 
 // --- single-owner assertions (PAR-002) -------------------------------------

@@ -213,6 +213,8 @@ TEST(Pipeline, JitWarmCompileHitsTheStore) {
   req.has_spec = true;
   req.engine = "jit";
   req.store_dir = store;
+  // Wait for native code: a tiered bind returns before the compiler ran.
+  req.tiered = false;
 
   CompileResult cold = pipeline::compile(req);
   ASSERT_TRUE(cold.ok) << cold.error;

@@ -598,6 +598,9 @@ TEST(Service, ParallelSessionsOnOneCachedArtifactAreBitIdentical) {
   req.spec = spec;
   req.has_spec = true;
   req.engine = "jit";
+  // Wait for native code, so the artifact is in the store before the
+  // sessions open.
+  req.tiered = false;
   pipeline::CompileResult solo = pipeline::compile(req);
   ASSERT_TRUE(solo.ok) << solo.error;
   std::vector<std::vector<double>> reference;
@@ -655,6 +658,81 @@ TEST(Service, ParallelSessionsOnOneCachedArtifactAreBitIdentical) {
 /// A session forked from a named checkpoint replays the parent's remaining
 /// cycles byte-identically, and the fork is independent of the parent
 /// afterwards.
+/// A cold jit session runs the tape from cycle 0 and says so: its replies
+/// carry "native", and from the swap on "swap_cycle"; its trace equals a
+/// compiled session's across the swap. Other engines report no tier.
+TEST(Service, JitSessionReportsItsTierAcrossTheSwap) {
+  const std::string store = ::testing::TempDir() + "asicpp_svc_tier_" + std::to_string(getpid());
+  std::filesystem::remove_all(store);
+  Service svc;
+  Json open = ok_rpc(svc, R"({"op":"open","engine":"jit","design":"quickstart","store_dir":")" +
+                              store + R"("})");
+  ASSERT_NE(open.get("native"), nullptr) << open.dump();
+  EXPECT_FALSE(open.get_bool("store_hit", true));
+  const std::string sid = open.get_string("session");
+  Json tape = ok_rpc(svc, R"({"op":"open","engine":"compiled","design":"quickstart"})");
+  EXPECT_EQ(tape.get("native"), nullptr) << tape.dump();
+  const std::string cid = tape.get_string("session");
+
+  Json run;
+  int runs = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  do {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(120));
+    const std::string poke = R"(","net":"x","value":)" + std::to_string(runs % 5 - 2) + "}";
+    ok_rpc(svc, R"({"op":"poke","session":")" + sid + poke);
+    ok_rpc(svc, R"({"op":"poke","session":")" + cid + poke);
+    run = ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":3})");
+    EXPECT_EQ(ok_rpc(svc, R"({"op":"run","session":")" + cid + R"(","cycles":3})").get("native"),
+              nullptr);
+    ++runs;
+    if (!run.get_bool("native")) {
+      EXPECT_EQ(run.get("swap_cycle"), nullptr) << run.dump();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  } while (!run.get_bool("native"));
+  const double swap = run.get_number("swap_cycle", -1.0);
+  EXPECT_GE(swap, 0.0) << run.dump();
+  EXPECT_LE(swap, run.get_number("cycle") - 3) << run.dump();
+  EXPECT_EQ(rows_of(ok_rpc(svc, R"({"op":"trace","session":")" + sid + R"("})")),
+            rows_of(ok_rpc(svc, R"({"op":"trace","session":")" + cid + R"("})")));
+  // The build landed in the store: a second open is native at once.
+  Json warm = ok_rpc(svc, R"({"op":"open","engine":"jit","design":"quickstart","store_dir":")" +
+                              store + R"("})");
+  EXPECT_TRUE(warm.get_bool("store_hit"));
+  EXPECT_TRUE(warm.get_bool("native"));
+  EXPECT_EQ(warm.get_number("swap_cycle", -1.0), 0.0);
+  std::filesystem::remove_all(store);
+}
+
+/// A jit whose compiler is missing opens ok on the tape, says native:false,
+/// and its build's JIT-001 reaches the session's diag at a cycle boundary.
+TEST(Service, JitOpenWithMissingCompilerListsJit001InDiag) {
+  const std::string store = ::testing::TempDir() + "asicpp_svc_nocc_" + std::to_string(getpid());
+  std::filesystem::remove_all(store);
+  Service svc;
+  Json open = ok_rpc(svc, R"({"op":"open","engine":"jit","design":"dect","cxx":"/nonexistent/cc",)"
+                          R"("store_dir":")" + store + R"("})");
+  EXPECT_FALSE(open.get_bool("native", true)) << open.dump();
+  const std::string sid = open.get_string("session");
+  const auto listed = [&] {
+    const Json diag = ok_rpc(svc, R"({"op":"diag","session":")" + sid + R"("})");
+    if (const Json* f = diag.get("findings"))
+      for (const Json& d : f->items())
+        if (d.get_string("code") == "JIT-001") return true;
+    return false;
+  };
+  constexpr int kMaxRuns = 1000;
+  int runs = 0;
+  while (!listed()) {
+    ASSERT_LT(runs++, kMaxRuns) << "no JIT-001 after " << kMaxRuns << " runs";
+    const Json run = ok_rpc(svc, R"({"op":"run","session":")" + sid + R"(","cycles":10})");
+    EXPECT_FALSE(run.get_bool("native", true)) << run.dump();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::filesystem::remove_all(store);
+}
+
 TEST(Service, ForkFromCheckpointResumesByteIdentically) {
   Service svc;
   Json open = ok_rpc(

@@ -4,6 +4,9 @@
 // protocol (src/service/service.h), one thread per connection — concurrent
 // clients drive independent sessions, and sessions opened from the same
 // spec text share compile artifacts through the content-addressed store.
+// The accept loop joins the thread of every finished connection, so a
+// long-lived daemon serving one-shot clients holds only the threads of the
+// connections still open.
 //
 //   asicpp-serve --socket /tmp/asicpp.sock [--store-dir DIR]
 //
@@ -22,9 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/linebuf.h"
 #include "service/service.h"
@@ -151,8 +154,18 @@ int main(int argc, char** argv) {
                args.socket_path.c_str());
 
   asicpp::service::Service svc;
-  std::vector<std::thread> workers;
+  // A connection's thread, and whether it has finished (its last act).
+  struct Worker {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Worker> workers;  // a list: a worker's flag never moves
   while (!g_stop.load() && !svc.shutdown_requested()) {
+    workers.remove_if([](Worker& w) {
+      if (!w.done.load()) return false;
+      w.thread.join();
+      return true;
+    });
     // Poll accept with a timeout so shutdown requests are honored promptly.
     fd_set fds;
     FD_ZERO(&fds);
@@ -162,10 +175,13 @@ int main(int argc, char** argv) {
     if (r <= 0) continue;
     const int cfd = accept(lfd, nullptr, nullptr);
     if (cfd < 0) continue;
-    workers.emplace_back(serve_connection, &svc, cfd, args.verbose);
+    Worker& w = workers.emplace_back();
+    w.thread = std::thread([&svc, &w, cfd, verbose = args.verbose] {
+      serve_connection(&svc, cfd, verbose);
+      w.done.store(true);
+    });
   }
-  for (std::thread& t : workers)
-    if (t.joinable()) t.join();
+  for (Worker& w : workers) w.thread.join();
   close(lfd);
   unlink(args.socket_path.c_str());
   std::fprintf(stderr, "asicpp-serve: shut down\n");

@@ -48,7 +48,7 @@ namespace asicpp::ckpt {
 
 /// Snapshot format revision. Bump on any layout change; readers reject
 /// other versions with CKPT-002.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Which engine wrote the snapshot. Part of the header: restoring a
 /// snapshot into a different engine kind is a CKPT-001 error.

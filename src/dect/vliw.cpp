@@ -3,6 +3,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "ckpt/snapshot.h"
 #include "fsm/fsm.h"
 #include "sched/fsmcomp.h"
 #include "sched/untimed.h"
@@ -325,14 +326,32 @@ DectTransceiver::DectTransceiver(const VliwParams& p)
   }
   for (int r = 0; !p.structural_tables && r < p.num_rams; ++r) {
     const std::string dname = "dp" + std::to_string(r);
+    const auto k = static_cast<std::size_t>(r);
     auto ram = std::make_unique<UntimedComponent>(
-        dname + "_ram", [this, r](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
-          auto& mem = impl_->ram_storage[static_cast<std::size_t>(r)];
+        dname + "_ram", [this, k, q = fixpt::Quantizer(kData)](const std::vector<Fixed>& in,
+                                                               std::vector<Fixed>& out) {
+          auto& mem = impl_->ram_storage[k];
           const bool we = in[0].value() != 0.0;
           const auto a = static_cast<std::size_t>(in[1].value()) % mem.size();
           out.emplace_back(mem[a]);
-          if (we) mem[a] = fixpt::quantize(in[2].value(), kData);
-          ++impl_->ram_hits[static_cast<std::size_t>(r)];
+          if (we) mem[a] = q(in[2].value());
+          ++impl_->ram_hits[k];
+        });
+    // Snapshots carry the RAM's words and access count.
+    ram->set_state_hooks(
+        [this, k](ckpt::Writer& w) {
+          const auto& mem = impl_->ram_storage[k];
+          w.u32(static_cast<std::uint32_t>(mem.size()));
+          for (const double v : mem) w.f64(v);
+          w.u64(impl_->ram_hits[k]);
+        },
+        [this, k](ckpt::Reader& rd) {
+          auto& mem = impl_->ram_storage[k];
+          std::vector<double> words(rd.count(1u << 20, mem.size(), "RAM word(s), this RAM has"));
+          for (double& v : words) v = rd.f64();
+          const std::uint64_t hits = rd.u64();
+          mem = std::move(words);
+          impl_->ram_hits[k] = hits;
         });
     ram->bind_input(sched_.net(dname + "_we"));
     ram->bind_input(sched_.net(dname + "_addr"));

@@ -26,6 +26,16 @@ class Fixed {
   /// A value quantized into format `f`.
   Fixed(double v, const Format& f) : v_(quantize(v, f)), fmt_(f), bound_(true) {}
 
+  /// A value bound to `f` that is already a value of `f` (a Quantizer(f)
+  /// result), so it is not quantized again: equal to Fixed(v, f) for such
+  /// a `v`.
+  static Fixed quantized(double v, const Format& f) {
+    Fixed x(v);
+    x.fmt_ = f;
+    x.bound_ = true;
+    return x;
+  }
+
   double value() const { return v_; }
   const Format& format() const { return fmt_; }
   bool bound() const { return bound_; }

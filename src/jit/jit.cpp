@@ -244,7 +244,10 @@ struct Build {
   std::shared_ptr<const Kernel> kernel;  ///< null when the build failed
   std::vector<diag::Diagnostic> findings;
   double compile_seconds = 0.0;
-  std::atomic<bool> done{false};
+  /// Set when the build ended. Owned apart from the Build, so the build
+  /// thread drops its Build (and the object with it) before setting it:
+  /// the last engine holding the object unloads it.
+  std::shared_ptr<std::atomic<bool>> done = std::make_shared<std::atomic<bool>>(false);
 };
 
 namespace {
@@ -415,7 +418,8 @@ std::shared_ptr<Build> flight(const pipeline::ArtifactStore& store, std::uint64_
             std::string("build failed: ") + ex.what() + "; falling back to interpreted tape");
   };
   try {
-    par::spawn_background([b, id, store, key, ir_hash, jopts, unit = std::move(unit), failed] {
+    par::spawn_background([b, id, store, key, ir_hash, jopts, unit = std::move(unit),
+                           failed]() mutable {
       try {
         run_build(*b, unit, jopts, store, key, ir_hash);
       } catch (const std::exception& ex) {
@@ -426,12 +430,17 @@ std::shared_ptr<Build> flight(const pipeline::ArtifactStore& store, std::uint64_
         const std::lock_guard<std::mutex> lk(fl.mu);
         fl.running.erase(id);
       }
-      b->done.store(true, std::memory_order_release);
-      b->done.notify_all();
+      // An engine that sees `done` must not find this thread still holding
+      // the object: a store entry rewritten in place would then dlopen as
+      // the old mapping.
+      const std::shared_ptr<std::atomic<bool>> done = b->done;
+      b.reset();
+      done->store(true, std::memory_order_release);
+      done->notify_all();
     });
   } catch (const std::exception& ex) {  // no thread: a build that failed at once
     failed(*b, ex);
-    b->done.store(true);
+    b->done->store(true);
     return b;
   }
   fl.running.emplace(id, b);
@@ -466,7 +475,7 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
     if (std::shared_ptr<const Kernel> k = load(so, ir_hash, &why)) {
       js.build_ = std::make_shared<Build>();
       js.build_->kernel = std::move(k);
-      js.build_->done.store(true);
+      js.build_->done->store(true);
       js.from_cache_ = true;
     } else {
       diag::DiagEngine& de = js.sink_ != nullptr ? *js.sink_ : js.cs_.diagnostics();
@@ -476,14 +485,14 @@ JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
       js.build_ = flight(store, key, false, unit, jopts, ir_hash);
     }
   }
-  if (!jopts.tiered) js.build_->done.wait(false, std::memory_order_acquire);
+  if (!jopts.tiered) js.build_->done->wait(false, std::memory_order_acquire);
   js.take_build();
   return js;
 }
 
 void JitSystem::take_build() {
   const Build& b = *build_;
-  if (!b.done.load(std::memory_order_acquire)) return;
+  if (!b.done->load(std::memory_order_acquire)) return;
   if (b.kernel != nullptr && cs_.cycles_ < hold_swap_) return;
   diag::DiagEngine& de = sink_ != nullptr ? *sink_ : cs_.diagnostics();
   for (const diag::Diagnostic& d : b.findings) de.report(d);

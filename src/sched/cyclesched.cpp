@@ -1,5 +1,7 @@
 #include "sched/cyclesched.h"
 
+#include <algorithm>
+
 #include "ckpt/snapshot.h"
 #include "sfg/eval.h"
 #include "sfg/sfg.h"
@@ -85,9 +87,9 @@ CycleScheduler::CycleStats CycleScheduler::cycle() {
 }
 
 std::vector<Net*> CycleScheduler::all_nets() const {
-  std::vector<Net*> out;
-  out.reserve(nets_.size());
-  for (const auto& [_, n] : nets_) out.push_back(n.get());
+  std::vector<Net*> out = net_list_;
+  std::sort(out.begin(), out.end(),
+            [](const Net* a, const Net* b) { return a->name() < b->name(); });
   return out;
 }
 

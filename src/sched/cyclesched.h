@@ -28,9 +28,9 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "diag/diag.h"
@@ -151,7 +151,9 @@ class CycleScheduler {
   /// transactional via an internal rollback snapshot).
   void restore_state(std::istream& is);
 
-  /// Introspection for the compiled-code and HDL generators.
+  /// Introspection for the compiled-code and HDL generators. all_nets()
+  /// is in name order: the compiled image numbers nets in it, and so the
+  /// emitted code follows it.
   const std::vector<Component*>& components() const { return comps_; }
   std::vector<Net*> all_nets() const;
   int max_iterations() const { return core_.max_iters; }
@@ -169,7 +171,7 @@ class CycleScheduler {
 
   sfg::Clk* clk_;
   std::vector<Component*> comps_;
-  std::map<std::string, std::unique_ptr<Net>> nets_;
+  std::unordered_map<std::string, std::unique_ptr<Net>> nets_;
   std::vector<Net*> net_list_;  ///< flat creation-order view of nets_, for the hot per-cycle sweep
   std::vector<std::function<void(std::uint64_t)>> monitors_;
   Phase2 core_{"cycle scheduler", /*threaded=*/true};

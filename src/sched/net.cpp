@@ -6,19 +6,8 @@
 
 namespace asicpp::sched {
 
-void Net::put(const fixpt::Fixed& v) {
-  if (has_token_)
-    throw std::logic_error("Net '" + name_ + "': two tokens in one cycle (bus conflict)");
-  value_ = v;
-  has_token_ = true;
-}
-
-void Net::begin_cycle() {
-  has_token_ = false;
-  if (external_) {
-    value_ = *external_;
-    has_token_ = true;
-  }
+void Net::conflict() const {
+  throw std::logic_error("Net '" + name_ + "': two tokens in one cycle (bus conflict)");
 }
 
 void Net::save_state(ckpt::Writer& w) const {
@@ -44,6 +33,7 @@ void Net::restore_state(ckpt::Reader& r) {
   value_ = value;
   has_token_ = has_token;
   external_ = external;
+  drive_changed();
 }
 
 }  // namespace asicpp::sched

@@ -8,6 +8,8 @@
 // changed or released.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -32,21 +34,39 @@ class Net {
 
   /// Place this cycle's token. A second put in the same cycle is a bus
   /// conflict and throws.
-  void put(const fixpt::Fixed& v);
+  void put(const fixpt::Fixed& v) {
+    if (has_token_) conflict();
+    value_ = v;
+    has_token_ = true;
+  }
 
   /// Most recent token value, surviving across cycles (for probing).
   const fixpt::Fixed& last() const { return value_; }
 
   /// Persistently drive the net each cycle (external pin).
-  void drive(const fixpt::Fixed& v) { external_ = v; }
-  void release() { external_.reset(); }
+  void drive(const fixpt::Fixed& v) {
+    external_ = v;
+    drive_changed();
+  }
+  void release() {
+    external_.reset();
+    drive_changed();
+  }
   bool driven() const { return external_.has_value(); }
   /// Value of the external drive; only meaningful when driven().
   const fixpt::Fixed& drive_value() const { return *external_; }
 
+  /// Process-wide count of drive changes (drive, release, restore) on any
+  /// net. Engines that copy the pin drives each cycle (sim::LaneDriver)
+  /// read the nets again only when it moved.
+  static std::uint64_t drive_changes() { return drive_changes_.load(std::memory_order_relaxed); }
+
   /// Scheduler-internal: start a new cycle — drop the old token, re-arm
   /// from the external drive when present.
-  void begin_cycle();
+  void begin_cycle() {
+    has_token_ = external_.has_value();
+    if (has_token_) value_ = *external_;
+  }
 
   /// Checkpoint: serialize / restore the per-net state (last value, token
   /// flag, external drive). The name is written too, as a restore-time
@@ -55,6 +75,11 @@ class Net {
   void restore_state(ckpt::Reader& r);
 
  private:
+  [[noreturn]] void conflict() const;
+  static void drive_changed() { drive_changes_.fetch_add(1, std::memory_order_relaxed); }
+
+  static inline std::atomic<std::uint64_t> drive_changes_{0};
+
   std::string name_;
   fixpt::Fixed value_;
   bool has_token_ = false;

@@ -29,12 +29,30 @@ const std::vector<fixpt::Fixed>& UntimedComponent::invoke() {
   return out_;
 }
 
+void UntimedComponent::save_closure(ckpt::Writer& w) const {
+  w.u8(save_ ? 1 : 0);
+  if (save_) save_(w);
+}
+
+void UntimedComponent::restore_closure(ckpt::Reader& r) {
+  const bool has = r.u8() != 0;
+  if (has != static_cast<bool>(restore_))
+    r.fail("CKPT-004", "truncated or corrupt snapshot stream",
+           {"component '" + name() + "': the snapshot " +
+            (has ? "carries" : "lacks") + " a closure state record this component " +
+            (has ? "does not keep" : "keeps")});
+  if (has) restore_(r);
+}
+
 void UntimedComponent::save_state(ckpt::Writer& w) const {
   w.u64(firings_);
+  save_closure(w);
 }
 
 void UntimedComponent::restore_state(ckpt::Reader& r) {
-  firings_ = static_cast<std::size_t>(r.u64());
+  const auto firings = static_cast<std::size_t>(r.u64());
+  restore_closure(r);
+  firings_ = firings;
 }
 
 }  // namespace asicpp::sched

@@ -68,9 +68,25 @@ class UntimedComponent : public Component {
   /// Checkpoint restore: force the lifetime firing count.
   void set_firings(std::size_t n) { firings_ = n; }
 
-  /// Checkpoint: the firing counter round-trips; closure state (`fn_`'s
-  /// captures, e.g. a RAM's storage) is opaque to the snapshot format and
-  /// out of scope — stateful closures need external re-seeding on restore.
+  /// Snapshot hooks for state the closure keeps (e.g. a RAM's storage).
+  /// `save` writes it; `restore` reads what `save` wrote, rejecting a short
+  /// or corrupt record with CKPT-004 (Reader::fail) before it applies
+  /// anything. A closure without hooks is snapshotted by its firing count
+  /// alone, so its captured state is not restored.
+  using SaveHook = std::function<void(ckpt::Writer&)>;
+  using RestoreHook = std::function<void(ckpt::Reader&)>;
+  void set_state_hooks(SaveHook save, RestoreHook restore) {
+    save_ = std::move(save);
+    restore_ = std::move(restore);
+  }
+
+  /// The closure's state record, as both snapshot bodies (the interpreted
+  /// scheduler's and the compiled image's) carry it after the firing
+  /// count: a flag saying whether hooks are set, then their record.
+  void save_closure(ckpt::Writer& w) const;
+  void restore_closure(ckpt::Reader& r);
+
+  /// Checkpoint: the firing counter, then the closure's state record.
   void save_state(ckpt::Writer& w) const override;
   void restore_state(ckpt::Reader& r) override;
 
@@ -87,6 +103,8 @@ class UntimedComponent : public Component {
 
  private:
   Behavior fn_;
+  SaveHook save_;
+  RestoreHook restore_;
   std::vector<Net*> ins_;
   std::vector<Net*> outs_;
   std::vector<fixpt::Fixed> in_;

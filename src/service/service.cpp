@@ -159,12 +159,54 @@ std::shared_ptr<Service::Session> Service::find_session(const Json& req,
   return it->second;
 }
 
+bool Service::reserve_session(const char* op, Json* err) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (sessions_.size() + reserved_ >= kMaxSessions) {
+    *err = coded_error("SVC-004", std::string(op) + ": the service already keeps " +
+                                      std::to_string(kMaxSessions) +
+                                      " sessions; close one first");
+    return false;
+  }
+  ++reserved_;
+  return true;
+}
+
+/// A place reserve_session() granted: add() makes it an open session,
+/// and the destructor gives it back otherwise.
+class Service::Place {
+ public:
+  explicit Place(Service& svc) : svc_(svc) {}
+  ~Place() {
+    if (added_) return;
+    const std::lock_guard<std::mutex> lock(svc_.mu_);
+    --svc_.reserved_;
+  }
+  Place(const Place&) = delete;
+  Place& operator=(const Place&) = delete;
+
+  /// Register `s` as an open session; returns its id.
+  std::string add(std::shared_ptr<Session> s) {
+    const std::lock_guard<std::mutex> lock(svc_.mu_);
+    --svc_.reserved_;
+    added_ = true;
+    std::string id = "s" + std::to_string(svc_.next_id_++);
+    svc_.sessions_[id] = std::move(s);
+    return id;
+  }
+
+ private:
+  Service& svc_;
+  bool added_ = false;
+};
+
 Json Service::op_open(const Json& req) {
   pipeline::CompileRequest creq;
   Json err;
   std::uint64_t lanes = 0;
   if (!read_count(req, "lanes", creq.lanes, kMaxOpenLanes, &lanes, &err))
     return err;
+  if (!reserve_session("open", &err)) return err;
+  Place place(*this);
   creq.lanes = static_cast<unsigned>(lanes);
   creq.engine = req.get_string("engine", "compiled");
   creq.cxx = req.get_string("cxx", "c++");
@@ -211,12 +253,7 @@ Json Service::op_open(const Json& req) {
       return coded_error("SVC-003", "open: engine '" + sess->compiled.engine +
                                         "' has no net '" + n + "' to watch");
 
-  std::string id;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    id = "s" + std::to_string(next_id_++);
-    sessions_[id] = sess;
-  }
+  const std::string id = place.add(sess);
 
   Json j = ok_json();
   j.set("session", Json::string(id));
@@ -342,6 +379,10 @@ Json Service::op_checkpoint(const Json& req) {
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
   const std::string name = req.get_string("name", "default");
+  if (sess->ckpts.size() >= kMaxCheckpoints && sess->ckpts.count(name) == 0)
+    return coded_error("SVC-004", "checkpoint: the session already keeps " +
+                                      std::to_string(kMaxCheckpoints) +
+                                      " checkpoints; reuse a name");
   std::ostringstream os;
   try {
     if (!sess->compiled.instance->save_state(os))
@@ -367,6 +408,8 @@ Json Service::op_fork(const Json& req) {
   Json err;
   const auto parent = find_session(req, &err);
   if (parent == nullptr) return err;
+  if (!reserve_session("fork", &err)) return err;
+  Place place(*this);
 
   auto child = std::make_shared<Session>();
   child->diags.make_thread_safe();
@@ -407,12 +450,7 @@ Json Service::op_fork(const Json& req) {
   child->cycle = ck.cycle;
   child->rows = std::move(ck.rows);
 
-  std::string id;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    id = "s" + std::to_string(next_id_++);
-    sessions_[id] = child;
-  }
+  const std::string id = place.add(child);
   Json j = ok_json();
   j.set("session", Json::string(id));
   j.set("cycle", Json::number(static_cast<double>(child->cycle)));

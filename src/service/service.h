@@ -56,7 +56,10 @@
 // the field, and the request does nothing; so is a run that would take the
 // session past kMaxSessionRows rows. An open whose "watch" names a net
 // the engine does not have is answered {"ok":false,"code":"SVC-003",...}
-// and opens no session. The asicpp-serve daemon frames
+// and opens no session. An open or fork past kMaxSessions open sessions,
+// and a checkpoint under a new name past kMaxCheckpoints in its session,
+// is answered {"ok":false,"code":"SVC-004",...} and allocates nothing.
+// The asicpp-serve daemon frames
 // lines with service::LineBuffer (service/linebuf.h): a line longer than
 // kMaxRequestLine (1 MiB) is answered {"ok":false,"code":"SVC-001",
 // "error":...} and only that connection is closed.
@@ -86,6 +89,13 @@ inline constexpr std::uint64_t kMaxTraceSince = std::uint64_t{1} << 53;
 /// Probe rows a session keeps across all its runs (one row per cycle): a
 /// run that would take it past this is refused with SVC-002.
 inline constexpr std::uint64_t kMaxSessionRows = 4'000'000;
+/// Sessions a service keeps open at once: an open or fork past it is
+/// refused with SVC-004 before anything is built.
+inline constexpr std::size_t kMaxSessions = 256;
+/// Named checkpoints one session keeps (each holds a snapshot and a copy
+/// of the session's rows): a checkpoint under a new name past it is
+/// refused with SVC-004; an existing name is still overwritten.
+inline constexpr std::size_t kMaxCheckpoints = 16;
 
 /// A built-in interactive design the service can open by name (sessions
 /// opened from spec text don't need one). The object owns the clock, the
@@ -124,6 +134,10 @@ class Service {
 
   Json handle(const Json& req);
   std::shared_ptr<Session> find_session(const Json& req, Json* err);
+  class Place;  // a session place held while a session is built (service.cpp)
+  /// Hold one of the kMaxSessions places for a session being built; false
+  /// (and `err` gets the SVC-004 reply) when none is left.
+  bool reserve_session(const char* op, Json* err);
 
   Json op_open(const Json& req);
   Json op_run(const Json& req);
@@ -136,9 +150,10 @@ class Service {
   Json op_diag(const Json& req);
   Json op_ping() const;
 
-  mutable std::mutex mu_;  ///< guards sessions_ / next_id_
+  mutable std::mutex mu_;  ///< guards sessions_ / next_id_ / reserved_
   std::map<std::string, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_id_ = 1;
+  std::size_t reserved_ = 0;  ///< places held by sessions being built
   std::atomic<bool> shutdown_{false};
 };
 

@@ -9,6 +9,7 @@
 // on registered or constant signals).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -82,13 +83,26 @@ class Sfg {
   void set_pass_options(const opt::PassOptions& p);
   const opt::PassOptions& pass_options() const { return popts_; }
 
-  /// Drop the cached lowered form (formats or values were mutated behind
-  /// the Sfg's back, e.g. by wordlength optimization knobs).
+  /// Drop the cached lowered form and its resolved plan (formats or values
+  /// were mutated behind the Sfg's back, e.g. by wordlength optimization
+  /// knobs).
   void invalidate_lowered();
 
   /// Lowered, pass-optimized form of this SFG (built lazily). Also the
   /// source of the optimizer's instruction-count statistics.
   const opt::LoweredSfg& lowered() const;
+
+  /// Build the lowered form and the evaluation plan resolved from it (each
+  /// register commit's quantizer, which outputs are written back) now
+  /// instead of on first use. The cycle scheduler calls this outside phase
+  /// 2, so the level-parallel walk only reads them.
+  void resolve() const;
+
+  /// Process-wide count of changes to any Sfg's ports, assignments, pass
+  /// options or lowered form. Components that cache what they resolved
+  /// from their SFGs (sched::TimedBase's port tables) compare it to know
+  /// when to resolve again.
+  static std::uint64_t changes() { return changes_.load(std::memory_order_relaxed); }
 
   /// Set the current value of a declared input by port name.
   void set_input(const std::string& port, const fixpt::Fixed& v);
@@ -98,7 +112,9 @@ class Sfg {
   void eval_register_outputs(std::uint64_t stamp);
 
   /// Full evaluation: all outputs plus register next-values. Requires all
-  /// inputs to carry this cycle's values.
+  /// inputs to carry this cycle's values. What eval_register_outputs ran
+  /// under the same stamp is not run again: registers only change in phase
+  /// 3, so its results still hold.
   void eval(std::uint64_t stamp);
 
   /// Convenience: eval with a fresh stamp.
@@ -111,8 +127,12 @@ class Sfg {
   void update_registers();
 
  private:
+  struct Plan;  // sfg.cpp
   bool depends_on_declared_input(const NodePtr& n) const;
-  void eval_lowered(bool pre_only);
+  const Plan& plan() const;
+  /// Ports, assignments, pass options or formats changed: drop what was
+  /// resolved from them and count the change.
+  void changed();
 
   std::string name_;
   std::vector<NodePtr> inputs_;
@@ -121,7 +141,10 @@ class Sfg {
   mutable bool analyzed_ = false;
   opt::PassOptions popts_{};
   mutable std::unique_ptr<opt::LoweredSfg> lowered_;
-  mutable std::vector<double> slots_;  ///< IR value slots, reused per eval
+  mutable std::unique_ptr<Plan> plan_;
+  mutable std::vector<double> slots_;  ///< IR value slots, sized with the plan
+  std::uint64_t pre_stamp_ = 0;  ///< stamp of the last eval_register_outputs
+  static inline std::atomic<std::uint64_t> changes_{0};
 };
 
 }  // namespace asicpp::sfg

@@ -105,6 +105,7 @@ WlOptResult optimize_wordlengths(Sfg& s, Clk& clk, const WlOptSpec& spec) {
   if (err > spec.error_budget) {
     // Restore and report the infeasibility through the result.
     for (std::size_t i = 0; i < knobs.size(); ++i) set_frac(knobs[i].node, saved_frac[i]);
+    s.invalidate_lowered();
     WlOptResult r;
     r.rms_error = err;
     r.knobs = static_cast<int>(knobs.size());
@@ -144,6 +145,8 @@ WlOptResult optimize_wordlengths(Sfg& s, Clk& clk, const WlOptSpec& spec) {
     r.frac_bits[kb.name] = f;
     r.bits_saved += spec.max_frac - f;
   }
+  // The chosen formats were set after the last run: resolve them again.
+  s.invalidate_lowered();
   clk.reset();
   return r;
 }

@@ -143,7 +143,8 @@ class LaneDriver {
         [this](std::size_t i) { return img_->comps[i].name; });
   }
   /// The snapshot body shared by both formats: lane `lane`'s slots, net
-  /// tokens and per-component state (FSM state, untimed firing count).
+  /// tokens and per-component state (FSM state; untimed firing count and
+  /// closure state record, sched::UntimedComponent::save_closure).
   /// Reading checks every count and FSM state index (CKPT-004).
   void save_lane_body(ckpt::Writer& w, unsigned lane) const;
   void restore_lane_body(ckpt::Reader& r, unsigned lane);
@@ -159,6 +160,11 @@ class LaneDriver {
   std::vector<int> sel_;      ///< selected dispatch SFG, -1 before decode
   std::vector<int> pending_;  ///< selected FSM transition, -1 none
   std::vector<double> refresh_;  ///< per-lane values of Image::refresh
+  /// The live nets' pin drives (net id, value) as of sched::Net's drive
+  /// count `pins_seen_`; begin_cycle() reads the nets again when it moved
+  /// (a count of 0 means no net was ever driven).
+  std::vector<std::pair<std::int32_t, double>> pins_;
+  std::uint64_t pins_seen_ = 0;
 
   std::uint64_t cycles_ = 0;
   // Bumped from inside the width-1 level-parallel walk, so relaxed atomics

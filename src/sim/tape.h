@@ -29,6 +29,9 @@ struct Instr {
   std::int32_t b = -1;
   std::int32_t c = -1;
   fixpt::Format fmt{};
+  /// kCast and quantized copies: index of `fmt`'s resolved quantizer in
+  /// the table exec() is given (sim::Image::quantizers).
+  std::int32_t q = -1;
 
   static Instr apply(sfg::Op op, std::int32_t dst, std::int32_t a,
                      std::int32_t b = -1, std::int32_t c = -1,
@@ -60,9 +63,9 @@ struct Instr {
 
 using Tape = std::vector<Instr>;
 
-/// Execute `tape` over the slot array. Slot values are the quantized
-/// word-level values (doubles), identical to what interpreted evaluation
-/// computes.
-void exec(const Tape& tape, double* slots);
+/// Execute `tape` over the slot array, quantizing through `quantizers`
+/// (indexed by Instr::q). Slot values are the quantized word-level values
+/// (doubles), identical to what interpreted evaluation computes.
+void exec(const Tape& tape, double* slots, const fixpt::Quantizer* quantizers);
 
 }  // namespace asicpp::sim

@@ -17,6 +17,11 @@
 #include "df/process.h"
 #include "df/queue.h"
 #include "diag/diag.h"
+#include "sched/cyclesched.h"
+#include "sched/fsmcomp.h"
+#include "sched/untimed.h"
+#include "sfg/clk.h"
+#include "sfg/sfg.h"
 #include "sim/compiled.h"
 #include "sim/recorder.h"
 #include "verify/diffrun.h"
@@ -222,6 +227,87 @@ TEST(CycleSchedulerCkpt, RunOptionsCheckpointCadence) {
   EXPECT_EQ(at[0], 4u);
   EXPECT_EQ(at[1], 8u);
   EXPECT_EQ(at[2], 12u);
+}
+
+// --- untimed closure state -------------------------------------------------
+
+const fixpt::Format kStoreFmt{16, 7, true, fixpt::Quant::kRound, fixpt::Overflow::kSaturate};
+
+/// A counter whose value an untimed closure writes into a store it keeps,
+/// returning what the addressed word held. The store round-trips through
+/// the closure's snapshot hooks.
+struct ClosureStore {
+  sfg::Clk clk;
+  sfg::Reg count{"count", clk, kStoreFmt, 0.0};
+  sfg::Sfg s{"s"};
+  sched::SfgComponent ctr{"ctr", s};
+  std::vector<double> store;
+  sched::UntimedComponent mem;
+  sched::CycleScheduler sched{clk};
+
+  explicit ClosureStore(std::size_t words)
+      : store(words, 0.0),
+        mem("mem", [this](const std::vector<Fixed>& in, std::vector<Fixed>& out) {
+          const auto a = static_cast<std::size_t>(in[0].value()) % store.size();
+          out.emplace_back(store[a]);
+          store[a] = in[0].value() + 0.5;
+        }) {
+    s.out("a", count.sig()).assign(count, (count + 1.0).cast(kStoreFmt));
+    ctr.bind_output("a", sched.net("a"));
+    mem.bind_input(sched.net("a"));
+    mem.bind_output(sched.net("d"));
+    mem.set_state_hooks(
+        [this](ckpt::Writer& w) {
+          w.u32(static_cast<std::uint32_t>(store.size()));
+          for (const double v : store) w.f64(v);
+        },
+        [this](ckpt::Reader& r) {
+          std::vector<double> words(r.count(1u << 16, store.size(), "word(s), this store has"));
+          for (double& v : words) v = r.f64();
+          store = std::move(words);
+        });
+    sched.add(ctr);
+    sched.add(mem);
+  }
+};
+
+template <class Engine>
+std::string snapshot_of(const Engine& e) {
+  std::stringstream os;
+  e.save_state(os);
+  return os.str();
+}
+
+TEST(CkptClosure, CorruptOrShortRecordIsCkpt004AndLeavesInstanceUntouched) {
+  for (const bool compiled : {false, true}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    ClosureStore a(4);
+    sim::CompiledSystem ca = sim::CompiledSystem::compile(a.sched);
+    for (int c = 0; c < 6; ++c) compiled ? ca.cycle() : void(a.sched.cycle());
+    const std::string bytes = compiled ? snapshot_of(ca) : snapshot_of(a.sched);
+
+    // Into the same structure with a store of another size (the record
+    // does not fit), and with the record cut short.
+    const std::pair<std::size_t, std::string> cases[] = {
+        {8, bytes}, {4, bytes.substr(0, bytes.size() - 24)}};
+    for (const auto& [words, bad] : cases) {
+      SCOPED_TRACE(std::to_string(words) + " words");
+      ClosureStore b(words);
+      sim::CompiledSystem cb = sim::CompiledSystem::compile(b.sched);
+      for (int c = 0; c < 2; ++c) compiled ? cb.cycle() : void(b.sched.cycle());
+      const std::vector<double> store = b.store;
+      const std::string before = compiled ? snapshot_of(cb) : snapshot_of(b.sched);
+      std::istringstream is(bad);
+      try {
+        compiled ? cb.restore_state(is) : b.sched.restore_state(is);
+        FAIL() << "bad closure record accepted";
+      } catch (const ckpt::SnapshotError& e) {
+        EXPECT_EQ(e.code(), "CKPT-004");
+      }
+      EXPECT_EQ(b.store, store);
+      EXPECT_EQ(compiled ? snapshot_of(cb) : snapshot_of(b.sched), before);
+    }
+  }
 }
 
 // --- CompiledSystem --------------------------------------------------------

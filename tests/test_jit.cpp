@@ -939,15 +939,12 @@ Rows rows_between(Sim& sim, const std::vector<std::string>& nets, std::uint64_t 
 /// For every k in [0, 200): a jit whose swap is held until cycle k gives
 /// the tape's trace of every net, as the blocking jit does, and runs
 /// natively from cycle k on; a snapshot taken before the swap (at k / 2)
-/// restores after it, into a native instance and into the compiled tape,
-/// and both replay the rest bit for bit. `make()` builds a fresh design;
-/// `drive(d, c)` runs before cycle c. With `in_place` the snapshot restores
-/// into the instance that took it, after its run; a design whose untimed
-/// closures keep state outside the snapshot (DECT's RAMs) instead restores
-/// into fresh instances that ran the same cycles up to the snapshot.
+/// restores after it, into the native instance that took it (after its
+/// run) and into a compiled tape of another instance of the design, and
+/// both replay the rest bit for bit. `make()` builds a fresh design;
+/// `drive(d, c)` runs before cycle c.
 template <class Make, class Drive>
-void check_swaps(const std::string& store, bool in_place, const Make& make,
-                 const Drive& drive) {
+void check_swaps(const std::string& store, const Make& make, const Drive& drive) {
   const auto driving = [&](auto& d) { return [&](std::uint64_t c) { drive(d, c); }; };
   auto ref = make();
   sim::CompiledSystem tape = sim::CompiledSystem::compile(ref->scheduler());
@@ -987,39 +984,65 @@ void check_swaps(const std::string& store, bool in_place, const Make& make,
       sim.restore_state(snap);
       ASSERT_EQ(rows_between(sim, nets, j, kSwapRun, driving(design)), want_rest);
     };
-    if (in_place) {
-      replay(js, *d);
-      replay(restored, *other);
-      continue;
-    }
-    auto dn = make();
-    jit::JitOptions now = jo;
-    now.hold_swap = 0;
-    jit::JitSystem native = jit::JitSystem::compile(dn->scheduler(), {}, now);
-    ASSERT_TRUE(native.native());
-    rows_between(native, nets, 0, j, driving(*dn));
-    replay(native, *dn);
-    auto dc = make();
-    sim::CompiledSystem cs = sim::CompiledSystem::compile(dc->scheduler());
-    rows_between(cs, nets, 0, j, driving(*dc));
-    replay(cs, *dc);
+    replay(js, *d);
+    replay(restored, *other);
   }
 }
 
 TEST(JitSwap, DectAtEveryCycle) {
   const std::string cache = fresh_cache("asicpp_jit_swap_dect");
   check_swaps(
-      cache, /*in_place=*/false, [] { return std::make_unique<dect::DectTransceiver>(); },
+      cache, [] { return std::make_unique<dect::DectTransceiver>(); },
       [](dect::DectTransceiver& t, std::uint64_t c) {
         t.drive_sample(static_cast<double>(c % 7) * 0.125 - 0.375);
       });
   std::filesystem::remove_all(cache);
 }
 
+// DECT's RAMs keep their words in untimed closures; a snapshot carries
+// them, so restoring a cycle-0 snapshot into the instance that ran on
+// replays the straight run.
+TEST(DectSnapshot, CycleZeroSnapshotRestoresInPlaceOnEveryEngine) {
+  const std::string cache = fresh_cache("asicpp_dect_snapshot");
+  constexpr int kCycles = 208;
+  for (const char* name : {"iterative", "compiled", "jit"}) {
+    SCOPED_TRACE(name);
+    dect::DectTransceiver t;
+    engine::TraceOptions opts;
+    opts.store_dir = cache;
+    const auto inst = engine::Registry::global().at(name).bind(t.scheduler(), opts);
+    const std::vector<std::string> nets = net_names(t.scheduler());
+    const auto run = [&] {
+      Rows rows;
+      for (int c = 0; c < kCycles; ++c) {
+        t.drive_sample(static_cast<double>(c % 7) * 0.125 - 0.375);
+        inst->cycle();
+        std::vector<double> row;
+        for (const std::string& n : nets) row.push_back(inst->probe(n));
+        rows.push_back(std::move(row));
+      }
+      return rows;
+    };
+    const auto ram_accesses = [&] {
+      std::uint64_t n = 0;
+      for (int r = 0; r < t.params().num_rams; ++r) n += t.ram_accesses(r);
+      return n;
+    };
+    std::stringstream snap;
+    ASSERT_TRUE(inst->save_state(snap));
+    const Rows straight = run();
+    ASSERT_GT(ram_accesses(), 0u);
+    ASSERT_TRUE(inst->restore_state(snap));
+    EXPECT_EQ(ram_accesses(), 0u);
+    EXPECT_EQ(run(), straight);
+  }
+  std::filesystem::remove_all(cache);
+}
+
 TEST(JitSwap, HcorAtEveryCycle) {
   const std::string cache = fresh_cache("asicpp_jit_swap_hcor");
   check_swaps(
-      cache, /*in_place=*/true, [] { return std::make_unique<dect::Hcor>(); },
+      cache, [] { return std::make_unique<dect::Hcor>(); },
       [](dect::Hcor& h, std::uint64_t c) {
         h.scheduler().net("rx").drive(fixpt::Fixed((c * 5 + c / 3) % 2 == 0 ? 1.0 : 0.0));
       });
@@ -1029,7 +1052,7 @@ TEST(JitSwap, HcorAtEveryCycle) {
 TEST(JitSwap, Fig6AtEveryCycle) {
   const std::string cache = fresh_cache("asicpp_jit_swap_fig6");
   check_swaps(
-      cache, /*in_place=*/true, [] { return std::make_unique<Fig6System>(); },
+      cache, [] { return std::make_unique<Fig6System>(); },
       [](Fig6System&, std::uint64_t) {});
   std::filesystem::remove_all(cache);
 }
@@ -1042,7 +1065,7 @@ TEST(JitSwap, FiftyFuzzSpecsAtEveryCycle) {
     if (spec.has(CompKind::kAdapter)) continue;
     SCOPED_TRACE("seed " + std::to_string(seed));
     check_swaps(
-        cache, /*in_place=*/true, [&] { return std::make_unique<System>(spec); },
+        cache, [&] { return std::make_unique<System>(spec); },
         [](System&, std::uint64_t) {});
     if (::testing::Test::HasFatalFailure()) return;
     ++checked;

@@ -38,10 +38,11 @@ TEST(Tape, ExecBasicOps) {
   t.push_back(Instr::apply(sfg::Op::kAdd, 2, 0, 1));
   t.push_back(Instr::apply(sfg::Op::kMul, 3, 2, 2));
   t.push_back(Instr::apply(sfg::Op::kMux, 4, 0, 2, 3));
-  t.push_back(Instr::apply(
-      sfg::Op::kCast, 5, 3, -1, -1,
-      Format{7, 6, true, fixpt::Quant::kTruncate, fixpt::Overflow::kSaturate}));
-  exec(t, s.data());
+  const Format f7{7, 6, true, fixpt::Quant::kTruncate, fixpt::Overflow::kSaturate};
+  t.push_back(Instr::apply(sfg::Op::kCast, 5, 3, -1, -1, f7));
+  t.back().q = 0;  // quantizes through entry 0 of the table below
+  const std::vector<fixpt::Quantizer> quantizers{fixpt::Quantizer(f7)};
+  exec(t, s.data(), quantizers.data());
   EXPECT_DOUBLE_EQ(s[2], 8.0);
   EXPECT_DOUBLE_EQ(s[3], 64.0);
   EXPECT_DOUBLE_EQ(s[4], 8.0);

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace asicpp::fixpt {
 
@@ -119,6 +120,30 @@ class Quantizer {
 
 /// Quantize `v` into format `f` (rounding, then overflow handling).
 inline double quantize(double v, const Format& f) { return Quantizer(f)(v); }
+
+/// One Quantizer per distinct Format, each at a dense index, so a
+/// per-cycle path holds the index and never builds a quantizer.
+class QuantizerTable {
+ public:
+  /// Index of `f`'s quantizer, added on first use.
+  std::int32_t index(const Format& f) {
+    for (std::size_t i = 0; i < fmts_.size(); ++i)
+      if (fmts_[i] == f) return static_cast<std::int32_t>(i);
+    fmts_.push_back(f);
+    qs_.emplace_back(f);
+    return static_cast<std::int32_t>(qs_.size() - 1);
+  }
+  const Quantizer& operator[](std::int32_t i) const { return qs_[static_cast<std::size_t>(i)]; }
+  const Quantizer* data() const { return qs_.data(); }
+  void clear() {
+    fmts_.clear();
+    qs_.clear();
+  }
+
+ private:
+  std::vector<Format> fmts_;
+  std::vector<Quantizer> qs_;
+};
 
 /// True when `v` is exactly representable in `f`.
 bool representable(double v, const Format& f);

@@ -290,6 +290,7 @@ PassStats run_passes(LoweredSfg& l, const PassOptions& opts) {
   }
   if (opts.dce) st.dead = dce(l);
   l.recompute_pre();
+  l.resolve_casts();
   st.instrs_after = static_cast<int>(l.ins.size());
   l.stats = st;
   return st;

@@ -39,7 +39,8 @@ int cse(LoweredSfg& l);
 int dce(LoweredSfg& l);
 
 /// Run the pipeline per `opts` (the `lower` flag is ignored here — the
-/// caller decided to lower by calling this). Updates l.stats and l.pre.
+/// caller decided to lower by calling this). Updates l.stats and l.pre,
+/// and resolves the surviving casts (resolve_casts()).
 PassStats run_passes(LoweredSfg& l, const PassOptions& opts);
 
 }  // namespace asicpp::opt

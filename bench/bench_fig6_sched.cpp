@@ -201,67 +201,6 @@ void BM_Fig6_PipelineDepthMode(benchmark::State& state, ScheduleMode mode) {
 BENCHMARK_CAPTURE(BM_Fig6_PipelineDepthMode, levelized, ScheduleMode::kLevelized)->Arg(32);
 BENCHMARK_CAPTURE(BM_Fig6_PipelineDepthMode, iterative, ScheduleMode::kIterative)->Arg(32);
 
-// Level-parallel phase 2: a deliberately *wide* levelized system — kWide
-// independent chains side by side, kDeep stages long — so each level holds
-// kWide mutually independent components and the static walk has real
-// parallelism to hand to the pool. The thread count is the capture; results
-// are bit-identical across all of them (same-level components touch
-// disjoint nets), so this measures pure kernel throughput.
-struct WideLevelSystem {
-  static constexpr int kWide = 32;
-  static constexpr int kDeep = 8;
-  Clk clk;
-  CycleScheduler sched{clk};
-  std::vector<std::unique_ptr<Reg>> seeds;
-  std::vector<std::unique_ptr<Sfg>> sfgs;
-  std::vector<std::unique_ptr<SfgComponent>> comps;
-
-  WideLevelSystem() {
-    for (int w = 0; w < kWide; ++w) {
-      auto seed = std::make_unique<Reg>("seed" + std::to_string(w), clk, kF,
-                                        1.0 + 0.01 * w);
-      auto src = std::make_unique<Sfg>("src" + std::to_string(w));
-      src->out("o", seed->sig()).assign(*seed, (*seed + 1.0).cast(kF));
-      auto csrc = std::make_unique<SfgComponent>("src" + std::to_string(w), *src);
-      csrc->bind_output("o", sched.net(lane_net(w, 0)));
-      seeds.push_back(std::move(seed));
-      sfgs.push_back(std::move(src));
-      comps.push_back(std::move(csrc));
-      for (int d = 0; d < kDeep; ++d) {
-        Sig x = Sig::input("x", kF);
-        auto s = std::make_unique<Sfg>(stage_name(w, d));
-        s->in(x).out("o", (x * 1.5 + 0.25).cast(kF));
-        auto c = std::make_unique<SfgComponent>(stage_name(w, d), *s);
-        c->bind_input(x, sched.net(lane_net(w, d)));
-        c->bind_output("o", sched.net(lane_net(w, d + 1)));
-        sfgs.push_back(std::move(s));
-        comps.push_back(std::move(c));
-      }
-    }
-    for (auto& c : comps) sched.add(*c);
-  }
-
-  static std::string stage_name(int w, int d) {
-    return "st" + std::to_string(w) + "_" + std::to_string(d);
-  }
-  static std::string lane_net(int w, int d) {
-    return "l" + std::to_string(w) + "_" + std::to_string(d);
-  }
-};
-
-void BM_Fig6_WideLevelThreads(benchmark::State& state, unsigned threads) {
-  WideLevelSystem sys;
-  sys.sched.set_schedule_mode(ScheduleMode::kLevelized);
-  sys.sched.set_threads(threads);
-  for (auto _ : state) sys.sched.cycle();
-  state.counters["cycles/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["threads"] = threads;
-}
-BENCHMARK_CAPTURE(BM_Fig6_WideLevelThreads, serial, 1u);
-BENCHMARK_CAPTURE(BM_Fig6_WideLevelThreads, threads2, 2u);
-BENCHMARK_CAPTURE(BM_Fig6_WideLevelThreads, threads4, 4u);
-
 // Multi-instance throughput: one 8-lane SoA batch vs a fleet of 8
 // independent compiled-tape simulators. Both variants advance 8 instances
 // per iteration, so cycles/s is the *aggregate* instance-cycle rate and

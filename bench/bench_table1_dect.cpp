@@ -150,40 +150,6 @@ void BM_Dect_CompiledMode(benchmark::State& state, ScheduleMode mode) {
 BENCHMARK_CAPTURE(BM_Dect_CompiledMode, levelized, ScheduleMode::kLevelized);
 BENCHMARK_CAPTURE(BM_Dect_CompiledMode, iterative, ScheduleMode::kIterative);
 
-// Level-parallel phase 2 on the real transceiver, interpreted and
-// compiled. The level walk hands each level's components to the worker
-// pool; results are bit-identical to the serial walk for any thread count
-// (same-level components write disjoint nets), so the captures measure
-// pure kernel scaling on the paper's own design.
-void BM_Dect_InterpretedThreads(benchmark::State& state, unsigned threads) {
-  DectTransceiver t;
-  t.drive_sample(0.5);
-  t.scheduler().set_schedule_mode(ScheduleMode::kLevelized);
-  t.scheduler().set_threads(threads);
-  for (auto _ : state) t.scheduler().cycle();
-  state.counters["cycles/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["threads"] = threads;
-}
-BENCHMARK_CAPTURE(BM_Dect_InterpretedThreads, serial, 1u);
-BENCHMARK_CAPTURE(BM_Dect_InterpretedThreads, threads2, 2u);
-BENCHMARK_CAPTURE(BM_Dect_InterpretedThreads, threads4, 4u);
-
-void BM_Dect_CompiledThreads(benchmark::State& state, unsigned threads) {
-  DectTransceiver t;
-  t.drive_sample(0.5);
-  sim::CompiledSystem cs = sim::CompiledSystem::compile(t.scheduler());
-  const RunOptions opts =
-      RunOptions{}.for_cycles(1).mode(ScheduleMode::kLevelized).threads(threads);
-  for (auto _ : state) cs.run(opts);
-  state.counters["cycles/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["threads"] = threads;
-}
-BENCHMARK_CAPTURE(BM_Dect_CompiledThreads, serial, 1u);
-BENCHMARK_CAPTURE(BM_Dect_CompiledThreads, threads2, 2u);
-BENCHMARK_CAPTURE(BM_Dect_CompiledThreads, threads4, 4u);
-
 // Optimizer ablation on the full transceiver, interpreted path.
 // `passes_off` pins PassOptions::none() — the legacy recursive expression
 // walk every datapath SFG used before the lowered IR existed; `passes_on`

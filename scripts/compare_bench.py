@@ -6,7 +6,7 @@ CPU time (wall time for old snapshots without the field). This is an
 *enforcing* gate: any regression beyond the threshold
 exits nonzero (CI fails), unless the benchmark is explicitly allowlisted or
 --warn-only is set. Known-noisy benchmarks go on the allowlist — one
-fnmatch pattern (`tag/name`, bare `name`, or a glob like `BM_*Threads/*`)
+fnmatch pattern (`tag/name`, bare `name`, or a glob like `BM_Dect_Pipeline*`)
 per --allowlist argument — where a regression still prints a warning
 annotation but does not fail the run. Run the benches with
 --benchmark_repetitions=N on both sides: repeated records min-merge, and
@@ -233,7 +233,7 @@ def check_counters(specs, baseline_dir, fresh_dir, warn_only=False):
 def allowlisted(allow, tag, name):
     """Each allowlist entry is an fnmatch pattern against 'tag/name' or bare
     'name' — exact names still match, and globs cover families like
-    'BM_*Threads/*' (thread-contention benches are noisy on shared runners).
+    'BM_Dect_Pipeline*' (host-compiler timings are noisy on shared runners).
     """
     return any(fnmatch.fnmatch(f"{tag}/{name}", pat) or
                fnmatch.fnmatch(name, pat) for pat in allow)

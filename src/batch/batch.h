@@ -51,8 +51,7 @@ class BatchedSystem : public sim::LaneDriver<sim::kRuntimeLanes> {
   /// cycle() throws sched::DeadlockError (SCHED-001 post-mortem naming the
   /// first deadlocked lane) when any lane deadlocks combinationally.
   /// run() honours the schedule mode, SCHED-002 and profiling like the
-  /// solo engine; RunOptions::nthreads is ignored (the lane loop is the
-  /// parallelism). Throws std::invalid_argument when lanes == 0.
+  /// solo engine. Throws std::invalid_argument when lanes == 0.
   static BatchedSystem compile(const sched::CycleScheduler& sched,
                                unsigned lanes,
                                const opt::PassOptions& passes = {});

@@ -27,7 +27,6 @@
 //
 //   checkpointable — has an in-process save_state/restore_state surface,
 //                    so the VERIFY-006 checkpoint axis applies;
-//   threadable     — honors RunOptions::nthreads;
 //   pass_aware     — consumes opt::PassOptions (TraceOptions::passes);
 //   pass_axis      — contributes a passes-off replay to the VERIFY-005
 //                    axis (noopt_passes() names the pipeline to use);
@@ -51,7 +50,6 @@ namespace asicpp::engine {
 
 struct Capabilities {
   bool checkpointable = false;
-  bool threadable = false;
   bool pass_aware = false;
   bool pass_axis = false;
   bool in_process = false;
@@ -130,10 +128,6 @@ class Instance {
   /// Drive an external input net before the next cycle. Engines without a
   /// poke surface (cppgen, gates) throw std::runtime_error.
   virtual void poke(const std::string& net, double v);
-
-  /// Worker lanes for the level-parallel phase-2 walk (threadable engines;
-  /// others ignore it). Rides the shared par::Pool.
-  virtual void set_threads(unsigned n) { (void)n; }
 
   /// Snapshot surface; false = this engine has none (cppgen, gates).
   virtual bool save_state(std::ostream& os);

@@ -72,7 +72,6 @@ class SchedInstance : public Instance {
   double probe(const std::string& n) const override { return at(n).last().value(); }
   bool has_net(const std::string& n) const override { return s_->find_net(n) != nullptr; }
   void poke(const std::string& n, double v) override { at(n).drive(fixpt::Fixed(v)); }
-  void set_threads(unsigned n) override { s_->set_threads(n); }
   bool save_state(std::ostream& os) override {
     s_->save_state(os);
     return true;
@@ -100,7 +99,6 @@ class InterpretedEngine : public Engine {
   InterpretedEngine(std::string name, ScheduleMode mode)
       : name_(std::move(name)), mode_(mode) {
     caps_.checkpointable = true;
-    caps_.threadable = true;
     caps_.pass_aware = true;
     // Only the iterative engine contributes a passes-off replay: with the
     // pipeline disabled the scheduler falls back to the recursive graph
@@ -149,7 +147,6 @@ class TapeInstance : public Instance {
     if (sched_ != nullptr)
       if (sched::Net* net = sched_->find_net(n)) net->drive(fixpt::Fixed(v));
   }
-  void set_threads(unsigned n) override { cs_.set_threads(n); }
   bool save_state(std::ostream& os) override {
     cs_.save_state(os);
     return true;
@@ -169,7 +166,6 @@ class CompiledEngine : public Engine {
  public:
   CompiledEngine() {
     caps_.checkpointable = true;
-    caps_.threadable = true;
     caps_.pass_aware = true;
     caps_.pass_axis = true;  // passes-off replay uses the raw tape
     caps_.in_process = true;
@@ -224,7 +220,6 @@ class JitInstance : public Instance {
     if (sched_ != nullptr)
       if (sched::Net* net = sched_->find_net(n)) net->drive(fixpt::Fixed(v));
   }
-  void set_threads(unsigned n) override { js_.set_threads(n); }
   bool save_state(std::ostream& os) override {
     js_.save_state(os);
     return true;
@@ -249,7 +244,6 @@ class JitEngine : public Engine {
  public:
   JitEngine() {
     caps_.checkpointable = true;  // shares the compiled tape's ckpt format
-    caps_.threadable = true;
     caps_.pass_aware = true;
     // No passes-off replay of its own: the raw tape is already covered by
     // the compiled engine, and a second host-compiler run per spec would

@@ -9,12 +9,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <map>
+#include <mutex>
 #include <semaphore>
 #include <sstream>
 #include <system_error>
@@ -227,9 +229,6 @@ struct Kernel {
   std::string path;
   void* handle = nullptr;
   int (*cycle)(JitState*, int) = nullptr;
-  void (*begin)(JitState*) = nullptr;
-  int (*try_slot)(JitState*, int) = nullptr;
-  int (*finish)(JitState*) = nullptr;
 
   Kernel() = default;
   Kernel(const Kernel&) = delete;
@@ -268,11 +267,7 @@ std::shared_ptr<const Kernel> load(const std::string& path, std::uint64_t ir_has
   auto* hash =
       reinterpret_cast<unsigned long long (*)()>(sym("asicpp_jit_ir_hash"));
   k->cycle = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_cycle"));
-  k->begin = reinterpret_cast<void (*)(JitState*)>(sym("asicpp_jit_begin"));
-  k->try_slot = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_try_slot"));
-  k->finish = reinterpret_cast<int (*)(JitState*)>(sym("asicpp_jit_finish"));
-  if (abi == nullptr || hash == nullptr || k->cycle == nullptr || k->begin == nullptr ||
-      k->try_slot == nullptr || k->finish == nullptr) {
+  if (abi == nullptr || hash == nullptr || k->cycle == nullptr) {
     *why = "missing entry point (not an asicpp jit artifact?)";
     return nullptr;
   }
@@ -500,9 +495,6 @@ void JitSystem::take_build() {
   if (b.kernel != nullptr) {
     kernel_ = b.kernel;
     fn_cycle_ = kernel_->cycle;
-    fn_begin_ = kernel_->begin;
-    fn_try_slot_ = kernel_->try_slot;
-    fn_finish_ = kernel_->finish;
     native_ = true;
     swap_cycle_ = cs_.cycles_;
   }
@@ -527,43 +519,27 @@ JitState JitSystem::make_state() {
 
 int JitSystem::fire_untimed_cb(void* host, int comp) {
   auto* self = static_cast<JitSystem*>(host);
-  UntimedFault& f = *self->fault_;
-  if (f.raised.load()) return -1;
+  if (self->untimed_fault_ != nullptr) return -1;
   try {
     self->cs_.invoke_untimed(static_cast<std::size_t>(comp), 0);
     return 1;
   } catch (...) {
-    std::lock_guard<std::mutex> lk(f.mu);
-    if (f.ex == nullptr) f.ex = std::current_exception();
-    f.raised.store(true);
+    self->untimed_fault_ = std::current_exception();
     return -1;
   }
 }
 
-// Phases 0-3 run in the emitted unit; the walk decision, the level-parallel
-// walk and SCHED-001/002 are the shared phase-2 core's (sched/phase2.h).
+// Phases 0-3 run in the emitted unit; the walk decision and SCHED-001/002
+// are the shared phase-2 core's (sched/phase2.h).
 void JitSystem::native_cycle() {
   cs_.begin_cycle();
   JitState st = make_state();
   const sim::Image& img = *cs_.img_;
   sched::Phase2& core = cs_.core_;
   const bool walk = core.walks(img.level_offsets, img.sched_reason, cs_.cycles_);
-  int ret;
-  if (walk && core.parallel()) {
-    fn_begin_(&st);
-    sched::walk_levels(img.level_offsets, core.threads, [&](std::size_t k) {
-      fn_try_slot_(&st, static_cast<int>(k));
-    });
-    ret = fn_finish_(&st);
-  } else {
-    ret = fn_cycle_(&st, walk ? 1 : 0);
-  }
+  const int ret = fn_cycle_(&st, walk ? 1 : 0);
 
-  if (fault_->raised.load()) {
-    std::exception_ptr e = std::exchange(fault_->ex, nullptr);
-    fault_->raised.store(false);
-    std::rethrow_exception(e);
-  }
+  if (untimed_fault_ != nullptr) std::rethrow_exception(std::exchange(untimed_fault_, nullptr));
   if (st.deadlock == 2) cs_.unknown_opcode(static_cast<std::size_t>(st.dl_comp), st.dl_op, 0);
   if (ret < 0 || st.deadlock == 1) core.deadlock(cs_.postmortem());
 

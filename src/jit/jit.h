@@ -58,12 +58,10 @@
 //   JIT-004 stale or corrupt cache entry discarded (recompiled)
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -127,7 +125,7 @@ class JitSystem {
   void cycle();
 
   /// Unified engine entry point: cycles, watchdogs, schedule mode,
-  /// threads, checkpoint cadence — same contract as CompiledSystem::run.
+  /// checkpoint cadence — same contract as CompiledSystem::run.
   RunResult run(const RunOptions& opts);
 
   std::uint64_t cycles() const { return cs_.cycles(); }
@@ -150,8 +148,6 @@ class JitSystem {
 
   void set_schedule_mode(ScheduleMode m) { cs_.set_schedule_mode(m); }
   ScheduleMode schedule_mode() const { return cs_.schedule_mode(); }
-  void set_threads(unsigned n) { cs_.set_threads(n); }
-  unsigned threads() const { return cs_.threads(); }
   void attach_diagnostics(diag::DiagEngine& de) { cs_.attach_diagnostics(de); }
   diag::DiagEngine& diagnostics() { return cs_.diagnostics(); }
   const opt::PassStats& pass_stats() const { return cs_.pass_stats(); }
@@ -196,22 +192,11 @@ class JitSystem {
   /// The build this instance has not taken over yet; null once it has.
   std::shared_ptr<Build> build_;
   std::shared_ptr<const Kernel> kernel_;  ///< null until native
-  // Exported entry points of the loaded object.
-  int (*fn_cycle_)(sim::JitState*, int) = nullptr;
-  void (*fn_begin_)(sim::JitState*) = nullptr;
-  int (*fn_try_slot_)(sim::JitState*, int) = nullptr;
-  int (*fn_finish_)(sim::JitState*) = nullptr;
+  int (*fn_cycle_)(sim::JitState*, int) = nullptr;  ///< the object's cycle entry
 
-  // The first exception an untimed closure threw inside the native kernel,
-  // rethrown once the cycle returns. A firing reads only `raised`; the
-  // mutex is taken to record an exception, which under the level-parallel
-  // walk may race with one from another pool lane.
-  struct UntimedFault {
-    std::atomic<bool> raised{false};
-    std::mutex mu;
-    std::exception_ptr ex;
-  };
-  std::shared_ptr<UntimedFault> fault_ = std::make_shared<UntimedFault>();
+  /// The first exception an untimed closure threw inside the native kernel,
+  /// rethrown once the cycle returns; later firings in that cycle fail.
+  std::exception_ptr untimed_fault_;
 };
 
 /// Resolve the artifact-store directory per JitOptions::cache_dir rules —

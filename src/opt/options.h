@@ -1,4 +1,5 @@
-// Pass-pipeline configuration carried by RunOptions and the engines.
+// Pass-pipeline configuration, set on each SFG (Sfg::set_pass_options,
+// CycleScheduler::set_pass_options) and passed to the engines' compiles.
 //
 // Every field is an independent toggle so each pass can be exercised (or
 // excluded) on its own, both in unit tests and through the differential

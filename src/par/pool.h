@@ -3,11 +3,11 @@
 // The compiled simulator exists to make cycle-true simulation "fast enough
 // to explore the design space" (paper, section 4); on a modern host that
 // also means using every core. This module is the one place threads are
-// created: a small work-stealing pool shared by the level-parallel cycle
-// engines (sched/cyclesched, sim/compiled), the batched differential
-// driver (verify/diffrun), and the fuzzer front end (tools/asicpp-fuzz).
-// spawn_background() adds one thread per long-running task that must not
-// hold up its caller (the jit's background builds).
+// created: a small work-stealing pool shared by the batched differential
+// driver (verify/diffrun), the shrinker (verify/shrink) and the fuzzer
+// front end (tools/asicpp-fuzz). spawn_background() adds one thread per
+// long-running task that must not hold up its caller (the jit's
+// background builds).
 //
 // Design rules, in priority order:
 //
@@ -21,10 +21,10 @@
 //      may run on a worker lane (the shrinker inside a fuzz worker) check
 //      Pool::in_parallel_region() and take their serial path, which is
 //      required to be behaviourally identical.
-//   3. Explicit sharing. Anything mutated inside a region is either
-//      per-task (slots, per-worker DiagEngine sinks) or a RelaxedCounter.
-//      Cross-thread misuse of single-owner objects trips PAR-002 (see
-//      diag::DiagEngine, sim::Recorder).
+//   3. Explicit sharing. Anything mutated inside a region is per-task
+//      (slots, per-worker DiagEngine sinks). Cross-thread misuse of
+//      single-owner objects trips PAR-002 (see diag::DiagEngine,
+//      sim::Recorder).
 //
 // Stable code registry (documented in DESIGN.md section 9):
 //   PAR-001 nested parallel region
@@ -42,26 +42,6 @@
 #include <vector>
 
 namespace asicpp::par {
-
-/// Monotonic counter safe to bump from inside a parallel region without
-/// ordering cost, and copyable so owners (e.g. sim::CompiledSystem) keep
-/// their value semantics. Reads are relaxed: callers synchronize via the
-/// region join, which happens-before any get() after parallel_for returns.
-class RelaxedCounter {
- public:
-  RelaxedCounter(std::uint64_t v = 0) : v_(v) {}
-  RelaxedCounter(const RelaxedCounter& o)
-      : v_(o.v_.load(std::memory_order_relaxed)) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.v_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
-  }
-  void add(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_;
-};
 
 /// A fixed set of execution lanes: the calling thread plus lanes()-1
 /// persistent helper threads. Work is distributed as index chunks over

@@ -94,7 +94,6 @@ std::vector<Net*> CycleScheduler::all_nets() const {
 }
 
 RunResult CycleScheduler::run(const RunOptions& opts) {
-  set_pass_options(opts.passes);
   return core_.run(
       opts, comps_.size(), [this] { return clk_->cycle(); }, [this] { cycle(); },
       [this](std::size_t i) { return comps_[i]->name(); });

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "diag/diag.h"
+#include "opt/options.h"
 #include "sched/component.h"
 #include "sched/net.h"
 #include "sched/phase2.h"
@@ -68,14 +69,12 @@ class CycleScheduler {
   /// (the post-mortem is also reported into the attached engine, if any).
   CycleStats cycle();
 
-  /// Simulate per `opts`: cycle count, watchdogs, schedule mode, hooks,
-  /// optimizer passes. The primary entry point shared with the other
-  /// engines. Applies `opts.passes` to every SFG of every component before
-  /// the first cycle.
+  /// Simulate per `opts`: cycle count, watchdogs, schedule mode, hooks.
+  /// The primary entry point shared with the other engines.
   RunResult run(const RunOptions& opts);
 
   /// Apply optimizer pass options to every SFG of every registered
-  /// component (for cycle() calls outside run()).
+  /// component; they hold for cycle() and run() alike until set again.
   void set_pass_options(const opt::PassOptions& p);
 
   // --- static schedule ---
@@ -83,13 +82,6 @@ class CycleScheduler {
   /// Phase-2 evaluation order policy for cycle() calls outside run().
   void set_schedule_mode(ScheduleMode m) { core_.mode = m; }
   ScheduleMode schedule_mode() const { return core_.mode; }
-
-  /// Worker lanes for the level-parallel phase-2 walk, for cycle() calls
-  /// outside run() (see RunOptions::nthreads; 1 = serial, 0 = hardware).
-  /// Results are bit-identical to serial execution: only levelized cycles
-  /// parallelize and actions within one level touch disjoint nets.
-  void set_threads(unsigned n) { core_.set_threads(n); }
-  unsigned threads() const { return core_.threads; }
 
   /// The levelized schedule, rebuilt lazily after structural changes.
   /// invalid() when the system cannot be statically ordered.
@@ -174,7 +166,7 @@ class CycleScheduler {
   std::unordered_map<std::string, std::unique_ptr<Net>> nets_;
   std::vector<Net*> net_list_;  ///< flat creation-order view of nets_, for the hot per-cycle sweep
   std::vector<std::function<void(std::uint64_t)>> monitors_;
-  Phase2 core_{"cycle scheduler", /*threaded=*/true};
+  Phase2 core_{"cycle scheduler"};
   Schedule schedule_;
   bool schedule_stale_ = true;
   std::uint64_t state_salt_ = 0;

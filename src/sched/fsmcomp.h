@@ -87,7 +87,8 @@ class TimedBase : public Component {
     if (ports_stale_ || ports_changes_ != sfg::Sfg::changes() || sfgs_added()) rebuild_ports();
   }
   /// Phase 0: refresh_ports(), then resolve each SFG's evaluation plan, so
-  /// the level-parallel walk of phase 2 only reads tables and plans.
+  /// the firings of phase 2, which the sweep may retry, only read tables
+  /// and plans.
   void prepare_ports() {
     refresh_ports();
     if (!ports_resolved_) resolve_ports();

@@ -5,7 +5,7 @@
 //
 //   walk   when the mode allows it, the system has a level order and the
 //          walk has not missed twice in a row: fire the order once, level
-//          by level (level-parallel when threads > 1);
+//          by level;
 //   sweep  otherwise, or when the walk left a component blocked: sweep
 //          until every component is done. No progress, or max_iters
 //          passes, with a component still blocked is a combinational
@@ -24,7 +24,6 @@
 //   diag::Diagnostic postmortem() const    SCHED-001 (deadlock_postmortem)
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "diag/diag.h"
-#include "par/pool.h"
 #include "sched/run.h"
 
 namespace asicpp::sched {
@@ -45,29 +43,6 @@ namespace asicpp::sched {
 struct DeadlockError : asicpp::Error {
   explicit DeadlockError(diag::Diagnostic d) : asicpp::Error(std::move(d)) {}
 };
-
-/// Levels at least this wide are partitioned across the pool by the
-/// level-parallel walk; narrower ones run serially (the barrier would cost
-/// more than it buys).
-inline constexpr std::size_t kMinParallelWidth = 4;
-
-/// Call `fire_step(k)` for every step k of a level order, level l being
-/// steps [offsets[l], offsets[l+1]), with a barrier between levels; levels
-/// at least kMinParallelWidth wide are partitioned across `threads` pool
-/// lanes. Bit-identical to the serial walk: a level's steps read what
-/// earlier levels wrote and write disjoint nets.
-template <class Fn>
-void walk_levels(const std::vector<std::size_t>& offsets, unsigned threads, Fn&& fire_step) {
-  for (std::size_t l = 0; l + 1 < offsets.size(); ++l) {
-    const std::size_t b = offsets[l], e = offsets[l + 1];
-    if (e - b < kMinParallelWidth) {
-      for (std::size_t k = b; k < e; ++k) fire_step(k);
-    } else {
-      par::Pool::shared().parallel_for(
-          e - b, [&](std::size_t k) { fire_step(b + k); }, threads);
-    }
-  }
-}
 
 /// What one policy fire() call did: whether it made progress (a firing,
 /// or a dispatch decode that put tokens out) and how many firings it made.
@@ -99,12 +74,10 @@ diag::Diagnostic deadlock_postmortem(
     const std::function<NetState(const std::string&)>& state);
 
 /// The phase-2 core: an engine's run-scoped state, phase 2 over an access
-/// policy, and the run loop. `origin` names the engine in diagnostics; an
-/// engine whose fire() is unsafe on pool lanes passes `threaded` false, and
-/// run() then ignores RunOptions::nthreads.
+/// policy, and the run loop. `origin` names the engine in diagnostics.
 class Phase2 {
  public:
-  Phase2(const char* origin, bool threaded) : origin(origin), threaded_(threaded) {}
+  explicit Phase2(const char* origin) : origin(origin) {}
 
   /// One cycle's phase 2.
   struct Pass {
@@ -116,7 +89,6 @@ class Phase2 {
 
   const char* origin;
   ScheduleMode mode = ScheduleMode::kAuto;
-  unsigned threads = 1;            ///< level-parallel walk lanes
   int max_iters = 64;              ///< passes before declaring a deadlock
   int walk_misses = 0;             ///< in a row; two turn the walk off
   bool sched002_reported = false;  ///< the unlevelizable SCHED-002 is out
@@ -129,8 +101,6 @@ class Phase2 {
 
   void attach_diagnostics(diag::DiagEngine& de) { diag_ = &de; }
   diag::DiagEngine& diagnostics() { return diag_ != nullptr ? *diag_ : own_diag_; }
-  /// 0 = one lane per hardware thread.
-  void set_threads(unsigned n) { threads = n == 0 ? par::Pool::hardware_lanes() : n; }
 
   /// Whether this cycle starts with the level walk. `offsets` are the
   /// level order's level boundaries, empty when the system has none
@@ -144,12 +114,6 @@ class Phase2 {
       return false;
     }
     return walk_misses < 2;
-  }
-
-  /// Whether a walk partitions its levels across the pool: not when
-  /// profiling (single-owner table) or already on a pool lane.
-  bool parallel() const {
-    return threads > 1 && !profile.on() && !par::Pool::in_parallel_region();
   }
 
   /// Record a walk's outcome: a hit counts a levelized cycle and clears the
@@ -171,15 +135,7 @@ class Phase2 {
     const bool timed = profile.on();
     const bool walked = walks(offsets, reason, cycle);
     // The walk: producers precede consumers, so one pass fires everything.
-    if (walked && parallel()) {
-      std::atomic<int> n{0};
-      walk_levels(offsets, threads, [&](std::size_t k) {
-        const std::size_t c = a.slot(k);
-        if (a.done(c)) return;
-        if (const int f = a.fire(c).firings) n.fetch_add(f, std::memory_order_relaxed);
-      });
-      p.fired_components = n.load(std::memory_order_relaxed);
-    } else if (walked) {
+    if (walked) {
       for (std::size_t k = 0, steps = offsets.back(); k < steps; ++k) {
         const std::size_t c = a.slot(k);
         if (!a.done(c)) fire(a, c, p, timed);
@@ -223,9 +179,9 @@ class Phase2 {
   [[noreturn]] void deadlock(diag::Diagnostic d);
 
   /// The run loop of every cycle engine. Under `opts`' scoped overrides
-  /// (diagnostics, schedule mode, threads, profiling over `ncomps`
-  /// components), restored even when a cycle throws, `step()` simulates up
-  /// to opts.cycles cycles. It stops early when the engine's total cycle
+  /// (diagnostics, schedule mode, profiling over `ncomps` components),
+  /// restored even when a cycle throws, `step()` simulates up to
+  /// opts.cycles cycles. It stops early when the engine's total cycle
   /// count `cycles()` reaches opts.cycle_budget (WATCHDOG-001) or
   /// opts.wall_clock_s has elapsed (WATCHDOG-002), and calls
   /// opts.on_cycle_end after each cycle and opts.on_checkpoint every
@@ -238,17 +194,14 @@ class Phase2 {
       Phase2* p;
       diag::DiagEngine* diag;
       ScheduleMode mode;
-      unsigned threads;
       ~Restore() {
         p->diag_ = diag;
         p->mode = mode;
-        p->threads = threads;
         p->profile.reset(false, 0);
       }
-    } restore{this, diag_, mode, threads};
+    } restore{this, diag_, mode};
     if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
     mode = opts.schedule;
-    if (threaded_) set_threads(opts.nthreads);
     profile.reset(opts.profile, ncomps);
 
     RunResult r;
@@ -315,7 +268,6 @@ class Phase2 {
   /// A watchdog stop: WATCHDOG-001/002 at total cycle `cycle`.
   void trip(RunResult& r, const RunOptions& opts, StopReason why, std::uint64_t cycle);
 
-  bool threaded_;
   diag::DiagEngine* diag_ = nullptr;
   diag::DiagEngine own_diag_;
 };

@@ -3,7 +3,7 @@
 // All three simulation engines — the interpreted `sched::CycleScheduler`,
 // the compiled-tape `sim::CompiledSystem`, and the dataflow
 // `df::DynamicScheduler` — accept one `RunOptions` (budgets, watchdogs,
-// trace hooks, schedule mode, optimizer passes) and return one `RunResult`
+// trace hooks, schedule mode, profiling) and return one `RunResult`
 // (work done, retry accounting, per-component timing, stop reason).
 #pragma once
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "diag/diag.h"
-#include "opt/options.h"
 
 namespace asicpp {
 
@@ -60,14 +59,6 @@ struct RunOptions {
   double wall_clock_s = 0.0;
   /// Phase-2 evaluation order policy (cycle engines).
   ScheduleMode schedule = ScheduleMode::kAuto;
-  /// Worker lanes for the level-parallel phase-2 walk (cycle engines):
-  /// each level of the static schedule is partitioned across this many
-  /// threads with a barrier per level. 1 = serial (the default), 0 = one
-  /// lane per hardware thread. Only levelized cycles parallelize — the
-  /// iterative fallback, profiled runs, and levels narrower than the width
-  /// threshold stay serial — and results are bit-identical to serial runs
-  /// (actions within a level touch disjoint nets by construction).
-  unsigned nthreads = 1;
   /// Collect per-component firing counts and wall time into
   /// RunResult::timing (adds two clock reads per firing).
   bool profile = false;
@@ -84,18 +75,12 @@ struct RunOptions {
   /// count; the callback typically calls the engine's save_state. Runs at
   /// a cycle boundary, so the saved state resumes bit-identically.
   std::function<void(std::uint64_t)> on_checkpoint;
-  /// Optimization pass pipeline applied to every SFG the run evaluates
-  /// (interpreted cycle engine). Defaults to all passes on; PassOptions::
-  /// none() restores the pre-IR recursive evaluation, the differential
-  /// reference. The compiled engine fixes its passes at compile() time.
-  opt::PassOptions passes{};
 
   RunOptions& for_cycles(std::uint64_t n) { cycles = n; return *this; }
   RunOptions& for_firings(std::uint64_t n) { firings = n; return *this; }
   RunOptions& budget(std::uint64_t total_cycles) { cycle_budget = total_cycles; return *this; }
   RunOptions& within(double seconds) { wall_clock_s = seconds; return *this; }
   RunOptions& mode(ScheduleMode m) { schedule = m; return *this; }
-  RunOptions& threads(unsigned n) { nthreads = n; return *this; }
   RunOptions& profiled(bool on = true) { profile = on; return *this; }
   RunOptions& into(diag::DiagEngine& de) { diagnostics = &de; return *this; }
   RunOptions& on_cycle(std::function<void(std::uint64_t)> cb) {
@@ -108,7 +93,6 @@ struct RunOptions {
     on_checkpoint = std::move(cb);
     return *this;
   }
-  RunOptions& with_passes(const opt::PassOptions& p) { passes = p; return *this; }
 };
 
 /// Wall time and firing count of one component (or dataflow process)

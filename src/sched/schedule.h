@@ -85,9 +85,7 @@ class Schedule {
   int levels() const { return valid() ? static_cast<int>(offsets_.size()) - 1 : 0; }
 
   /// Group boundaries of order() by level: level l spans order() indices
-  /// [offsets[l], offsets[l+1]). Size levels()+1, empty when invalid; the
-  /// level-parallel walk partitions each span across worker lanes with a
-  /// barrier per level.
+  /// [offsets[l], offsets[l+1]). Size levels()+1, empty when invalid.
   const std::vector<std::size_t>& level_offsets() const { return offsets_; }
 
   /// Number of components the schedule was built for (staleness check).

@@ -279,10 +279,8 @@ Json Service::op_open(const Json& req) {
 
 Json Service::op_run(const Json& req) {
   Json err;
-  std::uint64_t cycles = 0, threads = 0;
-  if (!read_count(req, "cycles", 1, kMaxRunCycles, &cycles, &err) ||
-      !read_count(req, "threads", 0, kMaxRunThreads, &threads, &err))
-    return err;
+  std::uint64_t cycles = 0;
+  if (!read_count(req, "cycles", 1, kMaxRunCycles, &cycles, &err)) return err;
   const auto sess = find_session(req, &err);
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
@@ -294,7 +292,6 @@ Json Service::op_run(const Json& req) {
   engine::Instance& inst = *sess->compiled.instance;
   std::vector<double>& rows = sess->rows;
   try {
-    if (threads > 0) inst.set_threads(static_cast<unsigned>(threads));
     for (std::uint64_t c = 0; c < cycles; ++c) {
       inst.cycle();
       for (const std::string& n : sess->watch) rows.push_back(inst.probe(n));

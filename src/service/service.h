@@ -6,8 +6,7 @@
 // a `Session` owns one live engine instance produced by the compile
 // pipeline (pipeline/pipeline.h) and supports
 //
-//   run         advance N cycles (optionally on M worker threads — the
-//               level-parallel phase-2 walk rides the shared par::Pool)
+//   run         advance N cycles
 //   poke        drive an external input net
 //   probe       read one net's last value
 //   trace       stream the probe-row history since a cycle (delta reads)
@@ -36,7 +35,7 @@
 //       -> {"ok":true,"session":"s1",...,"store_hit":false,"native":false}
 //   {"op":"open","engine":"compiled","design":"quickstart","watch":["y"]}
 //       -> {"ok":true,"session":"s1","probes":[...],"store_hit":false,...}
-//   {"op":"run","session":"s1","cycles":16,"threads":2}
+//   {"op":"run","session":"s1","cycles":16}
 //       -> {"ok":true,"cycle":16}   (jit: ...,"native":true,"swap_cycle":3)
 //   {"op":"poke","session":"s1","net":"x","value":1.5}  -> {"ok":true}
 //   {"op":"probe","session":"s1","net":"y"}   -> {"ok":true,"value":0.5}
@@ -50,11 +49,11 @@
 //
 // Errors come back as {"ok":false,"error":"one line"} — the service never
 // throws out of handle_line, and a failed request never kills a session.
-// The count fields ("cycles" and "threads" of run, "since" of trace,
-// "lanes" of open) must be whole numbers from 0 to their caps below; any
-// other value is answered {"ok":false,"code":"SVC-002","error":...} naming
-// the field, and the request does nothing; so is a run that would take the
-// session past kMaxSessionRows rows. An open whose "watch" names a net
+// The count fields ("cycles" of run, "since" of trace, "lanes" of open)
+// must be whole numbers from 0 to their caps below; any other value is
+// answered {"ok":false,"code":"SVC-002","error":...} naming the field, and
+// the request does nothing; so is a run that would take the session past
+// kMaxSessionRows rows. An open whose "watch" names a net
 // the engine does not have is answered {"ok":false,"code":"SVC-003",...}
 // and opens no session. An open or fork past kMaxSessions open sessions,
 // and a checkpoint under a new name past kMaxCheckpoints in its session,
@@ -82,7 +81,6 @@ namespace asicpp::service {
 /// cycle, so its cap bounds what one request may allocate (and how long it
 /// holds its session); a batched session allocates its state once per lane.
 inline constexpr std::uint64_t kMaxRunCycles = 1'000'000;  ///< run "cycles"
-inline constexpr std::uint64_t kMaxRunThreads = 256;       ///< run "threads"
 inline constexpr std::uint64_t kMaxOpenLanes = 1024;       ///< open "lanes"
 /// trace "since": a double holds every whole number up to 2^53 exactly.
 inline constexpr std::uint64_t kMaxTraceSince = std::uint64_t{1} << 53;

@@ -95,7 +95,7 @@ class Sfg {
   /// Build the lowered form and the evaluation plan resolved from it (each
   /// register commit's quantizer, which outputs are written back) now
   /// instead of on first use. The cycle scheduler calls this outside phase
-  /// 2, so the level-parallel walk only reads them.
+  /// 2, so its firings only read them.
   void resolve() const;
 
   /// Process-wide count of changes to any Sfg's ports, assignments, pass

@@ -8,8 +8,8 @@
 // mid-run and continues bit-identically.
 //
 // The cycle itself is sim::LaneDriver's (sim/driver.h); CompiledSystem is
-// its width-1 instantiation plus the solo engine's surface: threads for
-// the level-parallel walk, snapshots, probes and pokes, and C++ emission.
+// its width-1 instantiation plus the solo engine's surface: snapshots,
+// probes and pokes, and C++ emission.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +39,6 @@ class CompiledSystem : public LaneDriver<1> {
   /// Throws ElabError (SIM-001) for unknown Component subclasses.
   static CompiledSystem compile(const sched::CycleScheduler& sched,
                                 const opt::PassOptions& passes = {});
-
-  /// Worker lanes for the level-parallel phase-2 walk, for cycle() calls
-  /// outside run() (see RunOptions::nthreads; 1 = serial, 0 = hardware).
-  /// Bit-identical to serial: within one level every tape writes disjoint
-  /// slots. Untimed components' native closures must be thread-safe to
-  /// run under threads > 1 (the system tapes themselves always are).
-  void set_threads(unsigned n) { core_.set_threads(n); }
-  unsigned threads() const { return core_.threads; }
 
   /// Why levelization failed (empty when levelizable()).
   const std::string& schedule_reason() const { return img_->sched_reason; }

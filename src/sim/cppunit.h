@@ -16,11 +16,11 @@
 // prelude includes no header (the rounding helpers call GCC/Clang
 // builtins) and, for a split unit, declares each part's entry functions.
 // A part holds whole components: their SFG functions and try functions
-// stay static, and six functions per part — phase-0 select, phase-1
-// tokens, the part's share of the level walk, one level-order slot, one
-// sweep step and the phase-3 commit — are what the entry points call. The
-// last body carries the entry points, so its own six are static and the
-// host compiler inlines them; the other parts' have hidden visibility
+// stay static, and five functions per part — phase-0 select, phase-1
+// tokens, the part's share of the level walk, one sweep step and the
+// phase-3 commit — are what the entry points call. The last body carries
+// the entry points, so its own five are static and the host compiler
+// inlines them; the other parts' have hidden visibility
 // (external to the part, internal to the shared object) and are declared
 // in the prelude. A one-part unit is just the last part. The
 // parts are ordered so every dependency points forward, so walking them
@@ -32,11 +32,11 @@
 //
 // Exported symbols:
 //
-//   void asicpp_jit_begin(St*)            phases 0-1: flags, FSM select, tokens
-//   int  asicpp_jit_try_slot(St*, int k)  fire level-order slot k
-//   int  asicpp_jit_finish(St*)           phase-2 sweep + phase 3; retry
+//   int  asicpp_jit_cycle(St*, int walk)  phases 0-1 (flags, FSM select,
+//                                          tokens), the level walk if
+//                                          `walk`, the phase-2 sweep and
+//                                          phase 3; returns the retry
 //                                          passes, or -1 on st->deadlock
-//   int  asicpp_jit_cycle(St*, int walk)  begin, level walk if `walk`, finish
 //   unsigned asicpp_jit_abi(void)         kJitAbi
 //   unsigned long long asicpp_jit_ir_hash(void)  CompiledSystem::state_hash()
 #pragma once
@@ -56,7 +56,7 @@ struct UnitParts {
 
 /// ABI revision of the state struct / exported symbols; a loaded object
 /// must report the same value.
-inline constexpr std::uint32_t kJitAbi = 1;
+inline constexpr std::uint32_t kJitAbi = 2;
 
 /// The state block handed to every generated function. Mirrored textually
 /// in the emitted source; any change here bumps kJitAbi. The per-component

@@ -81,7 +81,7 @@ LaneDriver<W>::LaneDriver(std::shared_ptr<const Image> img, unsigned lanes,
                           const char* engine)
     : img_(std::move(img)),
       lanes_(W != kRuntimeLanes ? W : lanes),
-      core_(engine, /*threaded=*/W == 1) {
+      core_(engine) {
   if (lanes_ == 0)
     throw std::invalid_argument(std::string(engine) + ": lane count must be >= 1");
   const Image& m = *img_;
@@ -126,9 +126,9 @@ typename LaneDriver<W>::Group LaneDriver<W>::all_lanes() const {
 
 // Calls fn(group, key) once per group of lanes satisfying `pred`, lanes
 // grouped by equal key(lane), groups in order of their first lane. At width
-// 1 this is one call with no scratch, which keeps fire() safe to run from
-// the level-parallel walk; at runtime width the lock-step common case —
-// every lane qualifies with one key — is one full-lane group.
+// 1 this is one call with no scratch; at runtime width the lock-step
+// common case — every lane qualifies with one key — is one full-lane
+// group.
 template <unsigned W>
 template <class Pred, class Key, class Fn>
 void LaneDriver<W>::for_groups(Pred pred, Key key, Fn fn) {
@@ -200,7 +200,7 @@ template <unsigned W>
 void LaneDriver<W>::run_pre(std::int32_t id, Group g) {
   const Image::SfgCode& s = img_->sfgs[static_cast<std::size_t>(id)];
   run_tape(s.pre);
-  ops_.add(s.pre.size() * lanes());
+  ops_ += s.pre.size() * lanes();
   push(s.pre_pushes, g);
 }
 
@@ -209,7 +209,7 @@ void LaneDriver<W>::run_main(std::int32_t id, Group g) {
   const Image::SfgCode& s = img_->sfgs[static_cast<std::size_t>(id)];
   run_tape(s.load_inputs);
   run_tape(s.main);
-  ops_.add((s.load_inputs.size() + s.main.size()) * lanes());
+  ops_ += (s.load_inputs.size() + s.main.size()) * lanes();
   push(s.main_pushes, g);
 }
 
@@ -429,7 +429,7 @@ void LaneDriver<W>::select_transitions() {
                    const double* guard = nullptr;
                    if (!ts[ti].always) {
                      run_tape(ts[ti].guard);
-                     ops_.add(ts[ti].guard.size() * lanes());
+                     ops_ += ts[ti].guard.size() * lanes();
                      guard = lane_slots(ts[ti].guard_slot);
                    }
                    for (const unsigned l : g) {

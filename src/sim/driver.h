@@ -36,12 +36,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "diag/diag.h"
-#include "par/pool.h"
 #include "sched/phase2.h"
 #include "sched/run.h"
 #include "sim/image.h"
@@ -101,7 +99,7 @@ class LaneDriver {
   std::size_t footprint_bytes() const;
 
   /// Tape instructions retired, summed over lanes.
-  std::uint64_t ops_retired() const { return ops_.get(); }
+  std::uint64_t ops_retired() const { return ops_; }
 
  protected:
   /// Seed every lane from the image's compile-time state. `engine` names
@@ -167,18 +165,8 @@ class LaneDriver {
   std::uint64_t pins_seen_ = 0;
 
   std::uint64_t cycles_ = 0;
-  // Bumped from inside the width-1 level-parallel walk, so relaxed atomics
-  // there; the runtime width never walks in parallel and counts plainly.
-  struct PlainCounter {
-    std::uint64_t v = 0;
-    void add(std::uint64_t d = 1) { v += d; }
-    std::uint64_t get() const { return v; }
-  };
-  using Counter = std::conditional_t<W == 1, par::RelaxedCounter, PlainCounter>;
-  Counter ops_;
-  /// Phase 2 and the run-scoped state. Only the solo width takes
-  /// RunOptions::nthreads: the runtime width's fire() shares its grouping
-  /// scratch, and its lane loop is its parallelism.
+  std::uint64_t ops_ = 0;  ///< tape instructions retired, summed over lanes
+  /// Phase 2 and the run-scoped state.
   sched::Phase2 core_;
 
  private:

@@ -9,9 +9,7 @@
 // A Recorder is single-owner: the cycle-end hook appends to plain vectors,
 // so one recorder belongs to one simulation thread. The hook asserts this
 // (PAR-002) — parallel fuzz lanes each build their own scheduler and
-// recorder, which is the supported pattern. Note the level-parallel walk
-// (RunOptions::threads) is fine: cycle-end hooks always run on the thread
-// driving the scheduler, never on pool lanes.
+// recorder, which is the supported pattern.
 #pragma once
 
 #include <atomic>

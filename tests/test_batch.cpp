@@ -409,7 +409,6 @@ TEST(Registry, BatchedCapabilities) {
   EXPECT_TRUE(e.caps().pass_aware);
   EXPECT_FALSE(e.caps().pass_axis);
   EXPECT_FALSE(e.caps().in_process);
-  EXPECT_FALSE(e.caps().threadable);
 }
 
 TEST(Batched, DiffRunCheckpointAxisCoversBatched) {

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -429,11 +430,14 @@ TEST(Jit, RunHonorsWatchdogAndCheckpointCadence) {
   ro.checkpoint_every = 10;
   ro.on_checkpoint = [&](std::uint64_t) { ++ckpts; };
   ro.diagnostics = &de;
+  ro.schedule = ScheduleMode::kLevelized;
   const RunResult r = js.run(ro);
   EXPECT_EQ(r.stop, StopReason::kCycleBudget);
   EXPECT_EQ(r.cycles, 25u);
   EXPECT_EQ(r.checkpoints, ckpts);
   EXPECT_TRUE(has_code(de, "WATCHDOG-001"));
+  // The run's schedule mode was scoped to it.
+  EXPECT_EQ(js.schedule_mode(), ScheduleMode::kAuto);
   run_cmd("rm -rf " + cache);
 }
 
@@ -638,6 +642,32 @@ TEST(JitParts, EmittedTextIncludesNoHeader) {
     check(sim::CompiledSystem::compile(sys.scheduler()), !spec.has(CompKind::kUntimed),
           "seed " + std::to_string(seed));
   }
+}
+
+TEST(JitParts, UnitExportsOnlyTheCycleAbiAndIrHash) {
+  // Every other function of the unit is static or hidden; the extern "C"
+  // definitions are what the shared object exports.
+  const auto exports = [](const sim::CompiledSystem& cs) {
+    std::ostringstream unit;
+    cs.emit_unit(unit);
+    const std::string text = unit.str();
+    const std::string tag = "extern \"C\" ";
+    std::vector<std::string> names;
+    for (std::size_t at = text.find(tag); at != std::string::npos;
+         at = text.find(tag, at + tag.size())) {
+      const std::size_t open = text.find('(', at);
+      const std::size_t name = text.find_last_of(" *", open) + 1;
+      names.push_back(text.substr(name, open - name));
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> want = {"asicpp_jit_abi", "asicpp_jit_cycle",
+                                         "asicpp_jit_ir_hash"};
+  dect::DectTransceiver t;
+  EXPECT_EQ(exports(sim::CompiledSystem::compile(t.scheduler())), want);
+  dect::Hcor h;
+  EXPECT_EQ(exports(sim::CompiledSystem::compile(h.scheduler())), want);
 }
 
 TEST(JitParts, EveryPartAndCommandIsInTheKeyButNotTheStoreDir) {

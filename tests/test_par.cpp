@@ -2,7 +2,7 @@
 // single-owner (PAR-002) assertions on diagnostics and recording.
 //
 // The determinism suites are the contract the whole subsystem rests on:
-// level-parallel engine runs and multi-lane differential batches must be
+// multi-lane differential batches, shrinks and fuzz sweeps must be
 // *bit-identical* to their serial counterparts, for any lane count.
 #include <gtest/gtest.h>
 
@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "diag/diag.h"
-#include "jit/jit.h"
 #include "par/pool.h"
-#include "sim/compiled.h"
 #include "sim/recorder.h"
 #include "verify/diffrun.h"
 #include "verify/gen.h"
@@ -145,16 +143,6 @@ TEST(ParPool, OrderedReduceIsBitIdenticalAcrossWidths) {
   EXPECT_EQ(pool.ordered_reduce<std::string>(60, std::string(), name, cat, 8), sref);
 }
 
-TEST(ParPool, RelaxedCounterCountsAndCopies) {
-  par::Pool pool(8);
-  par::RelaxedCounter c;
-  pool.parallel_for(5000, [&](std::size_t) { c.add(); });
-  EXPECT_EQ(c.get(), 5000u);
-  c.add(10);
-  const par::RelaxedCounter d = c;  // copy keeps value semantics
-  EXPECT_EQ(d.get(), 5010u);
-}
-
 TEST(ParPool, SharedPoolHasTestableWidth) {
   // The shared pool is sized to at least 8 lanes so parallel paths stay
   // genuinely multi-threaded even on small CI machines.
@@ -247,137 +235,6 @@ TEST(ParRecorder, SecondThreadDriverTripsPar002) {
   });
   t.join();
   EXPECT_EQ(code, "PAR-002");
-}
-
-// --- determinism: level-parallel engines vs serial -------------------------
-
-GenConfig wide_config() {
-  GenConfig cfg;
-  cfg.min_comps = 24;
-  cfg.max_comps = 32;
-  // Keep every spec on the compiled engine's turf.
-  cfg.allow_adapter = false;
-  return cfg;
-}
-
-std::vector<std::vector<double>> interpreted_trace(const Spec& spec,
-                                                   unsigned threads) {
-  System sys(spec);
-  sys.scheduler().set_schedule_mode(ScheduleMode::kLevelized);
-  sys.scheduler().set_threads(threads);
-  const auto probes = spec.probes();
-  std::vector<std::vector<double>> tr;
-  for (std::uint64_t c = 0; c < spec.cycles; ++c) {
-    sys.scheduler().cycle();
-    std::vector<double> row;
-    for (const std::string& n : probes)
-      row.push_back(sys.scheduler().net(n).last().value());
-    tr.push_back(std::move(row));
-  }
-  return tr;
-}
-
-std::vector<std::vector<double>> compiled_trace(const Spec& spec,
-                                                unsigned threads) {
-  System sys(spec);
-  sim::CompiledSystem cs = sim::CompiledSystem::compile(sys.scheduler());
-  cs.set_schedule_mode(ScheduleMode::kLevelized);
-  cs.set_threads(threads);
-  const auto probes = spec.probes();
-  std::vector<std::vector<double>> tr;
-  for (std::uint64_t c = 0; c < spec.cycles; ++c) {
-    cs.cycle();
-    std::vector<double> row;
-    for (const std::string& n : probes) row.push_back(cs.net_value(n));
-    tr.push_back(std::move(row));
-  }
-  return tr;
-}
-
-// The JIT's level-parallel walk, driven through run(): the threads option
-// is scoped to the run and the trace matches the serial compiled tape.
-std::vector<std::vector<double>> jit_trace(const Spec& spec, unsigned threads) {
-  System sys(spec);
-  jit::JitOptions jo;
-  jo.cache_dir = ::testing::TempDir() + "/asicpp_par_jit_store";
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
-  EXPECT_TRUE(js.native());
-  const auto probes = spec.probes();
-  std::vector<std::vector<double>> tr;
-  js.run(RunOptions{}
-             .for_cycles(spec.cycles)
-             .mode(ScheduleMode::kLevelized)
-             .threads(threads)
-             .on_cycle([&](std::uint64_t) {
-               std::vector<double> row;
-               for (const std::string& n : probes) row.push_back(js.net_value(n));
-               tr.push_back(std::move(row));
-             }));
-  EXPECT_EQ(js.threads(), 1u);
-  EXPECT_EQ(js.schedule_mode(), ScheduleMode::kAuto);
-  return tr;
-}
-
-TEST(ParDeterminism, InterpretedLevelParallelMatchesSerial) {
-  const GenConfig cfg = wide_config();
-  for (unsigned seed = 0; seed < 20; ++seed) {
-    const Spec spec = generate(cfg, seed);
-    const auto serial = interpreted_trace(spec, 1);
-    for (const unsigned threads : {2u, 4u, 8u})
-      ASSERT_EQ(interpreted_trace(spec, threads), serial)
-          << "seed " << seed << " threads " << threads;
-  }
-}
-
-TEST(ParDeterminism, CompiledLevelParallelMatchesSerial) {
-  const GenConfig cfg = wide_config();
-  for (unsigned seed = 0; seed < 20; ++seed) {
-    const Spec spec = generate(cfg, seed);
-    const auto serial = compiled_trace(spec, 1);
-    for (const unsigned threads : {2u, 4u, 8u})
-      ASSERT_EQ(compiled_trace(spec, threads), serial)
-          << "seed " << seed << " threads " << threads;
-  }
-}
-
-TEST(ParDeterminism, JitLevelParallelMatchesSerial) {
-  const GenConfig cfg = wide_config();
-  for (unsigned seed = 0; seed < 5; ++seed) {
-    const Spec spec = generate(cfg, seed);
-    const auto serial = compiled_trace(spec, 1);
-    for (const unsigned threads : {1u, 4u})
-      ASSERT_EQ(jit_trace(spec, threads), serial)
-          << "seed " << seed << " threads " << threads;
-  }
-}
-
-TEST(ParDeterminism, RunOptionsThreadsMatchesSerialCounters) {
-  const Spec spec = generate(wide_config(), 3);
-  const auto run_with = [&](unsigned threads) {
-    System sys(spec);
-    return sys.scheduler().run(RunOptions{}
-                                   .for_cycles(spec.cycles)
-                                   .mode(ScheduleMode::kLevelized)
-                                   .threads(threads));
-  };
-  const RunResult a = run_with(1);
-  const RunResult b = run_with(8);
-  EXPECT_EQ(a.firings, b.firings);
-  EXPECT_EQ(a.levelized_cycles, b.levelized_cycles);
-  EXPECT_EQ(a.retry_passes, b.retry_passes);
-
-  const auto compiled_with = [&](unsigned threads) {
-    System sys(spec);
-    sim::CompiledSystem cs = sim::CompiledSystem::compile(sys.scheduler());
-    return cs.run(RunOptions{}
-                      .for_cycles(spec.cycles)
-                      .mode(ScheduleMode::kLevelized)
-                      .threads(threads));
-  };
-  const RunResult ca = compiled_with(1);
-  const RunResult cb = compiled_with(8);
-  EXPECT_EQ(ca.firings, cb.firings);
-  EXPECT_EQ(ca.levelized_cycles, cb.levelized_cycles);
 }
 
 // --- determinism: batched differential runs --------------------------------

@@ -2,7 +2,7 @@
 // the compiled tape, the JIT and the batched evaluator share one run loop
 // and one phase-2 core (sched::Phase2, sched/phase2.h), so a cycle budget,
 // a wall-clock limit, the checkpoint cadence, on_cycle_end, the SCHED-001/
-// 002 texts and the level-parallel walk must behave the same on each.
+// 002 texts and the level walk must behave the same on each.
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "batch/batch.h"
+#include "dect/vliw.h"
 #include "diag/diag.h"
 #include "engine/engine.h"
 #include "fsm/fsm.h"
@@ -157,49 +158,46 @@ struct Postmortem {
   std::string reason;
 };
 
-/// Run one cycle of a fresh `Design` on `engine`, at threads 1 and 4, and
-/// check its SCHED-001/002 against `want`. Only the origin and the batch's
-/// lane suffix may differ between engines.
+/// Run one cycle of a fresh `Design` on `engine` and check its
+/// SCHED-001/002 against `want`. Only the origin and the batch's lane
+/// suffix may differ between engines.
 template <class Design>
 void expect_postmortem(const EngineCase& engine, const Postmortem& want) {
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    Design sys;
-    const RunFn run = engine_run(engine.engine, sys.sched);
-    diag::DiagEngine de;
-    try {
-      run(RunOptions{}.for_cycles(1).mode(ScheduleMode::kLevelized).threads(threads).into(de));
-      ADD_FAILURE() << "no deadlock";
-      continue;
-    } catch (const sched::DeadlockError& e) {
-      EXPECT_EQ(e.diagnostic().code, "SCHED-001");
-    }
-    const diag::Diagnostic* d = de.find("SCHED-001");
-    ASSERT_NE(d, nullptr) << de.str();
-    EXPECT_EQ(d->component, engine.origin);
-    EXPECT_EQ(d->cycle, 0u);
-    std::string message = d->message;
-    const std::string lane = " (lane 0)";
-    if (std::string(engine.engine) == "batched" && message.size() > lane.size() &&
-        message.compare(message.size() - lane.size(), lane.size(), lane) == 0)
-      message.resize(message.size() - lane.size());
-    EXPECT_EQ(message, want.message);
-    EXPECT_EQ(d->notes, want.notes);
-
-    // The interpreted iterative case never asks for the level walk.
-    std::vector<const diag::Diagnostic*> sched002;
-    for (const auto& x : de.all())
-      if (x.code == "SCHED-002") sched002.push_back(&x);
-    if (std::string(engine.engine) == "iterative") {
-      EXPECT_TRUE(sched002.empty()) << de.str();
-      continue;
-    }
-    ASSERT_EQ(sched002.size(), 1u) << de.str();
-    EXPECT_EQ(sched002[0]->component, engine.origin);
-    EXPECT_EQ(sched002[0]->message,
-              "levelized schedule requested but the system cannot be statically "
-              "ordered (" + want.reason + "); running iteratively");
+  Design sys;
+  const RunFn run = engine_run(engine.engine, sys.sched);
+  diag::DiagEngine de;
+  try {
+    run(RunOptions{}.for_cycles(1).mode(ScheduleMode::kLevelized).into(de));
+    ADD_FAILURE() << "no deadlock";
+    return;
+  } catch (const sched::DeadlockError& e) {
+    EXPECT_EQ(e.diagnostic().code, "SCHED-001");
   }
+  const diag::Diagnostic* d = de.find("SCHED-001");
+  ASSERT_NE(d, nullptr) << de.str();
+  EXPECT_EQ(d->component, engine.origin);
+  EXPECT_EQ(d->cycle, 0u);
+  std::string message = d->message;
+  const std::string lane = " (lane 0)";
+  if (std::string(engine.engine) == "batched" && message.size() > lane.size() &&
+      message.compare(message.size() - lane.size(), lane.size(), lane) == 0)
+    message.resize(message.size() - lane.size());
+  EXPECT_EQ(message, want.message);
+  EXPECT_EQ(d->notes, want.notes);
+
+  // The interpreted iterative case never asks for the level walk.
+  std::vector<const diag::Diagnostic*> sched002;
+  for (const auto& x : de.all())
+    if (x.code == "SCHED-002") sched002.push_back(&x);
+  if (std::string(engine.engine) == "iterative") {
+    EXPECT_TRUE(sched002.empty()) << de.str();
+    return;
+  }
+  ASSERT_EQ(sched002.size(), 1u) << de.str();
+  EXPECT_EQ(sched002[0]->component, engine.origin);
+  EXPECT_EQ(sched002[0]->message,
+            "levelized schedule requested but the system cannot be statically "
+            "ordered (" + want.reason + "); running iteratively");
 }
 
 /// Two combinational components feeding each other (test_diag's CombLoop).
@@ -319,10 +317,10 @@ TEST_P(RunContract, FsmDispatchLoopPostmortemIsOneText) {
        "dependency cycle: ctl dp"});
 }
 
-// --- the level-parallel walk -------------------------------------------------
+// --- the level walk ------------------------------------------------------------
 
-/// Two levels of kWidth steps, wide enough for the level-parallel walk:
-/// a_i adds a counter to the driven net `x`, b_i doubles a_i's sum.
+/// Two levels of kWidth steps: a_i adds a counter to the driven net `x`,
+/// b_i doubles a_i's sum.
 struct WideLevels {
   static constexpr int kWidth = 6;
   sfg::Clk clk;
@@ -355,19 +353,16 @@ struct WideLevels {
   }
 };
 
-TEST_P(RunContract, WideLevelsRunAlikeAtAnyThreads) {
+// Every step fires once per cycle, in one walk (one sweep when iterative).
+TEST_P(RunContract, WideLevelsRunInOnePass) {
   const bool batched = std::string(GetParam().engine) == "batched";
   const bool walks = std::string(GetParam().engine) != "iterative";
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    WideLevels sys;
-    const RunResult r =
-        engine_run(GetParam().engine, sys.sched)(RunOptions{}.for_cycles(8).threads(threads));
-    EXPECT_EQ(r.cycles, 8u);
-    EXPECT_EQ(r.firings, 8u * 2 * WideLevels::kWidth * (batched ? 4 : 1));
-    EXPECT_EQ(r.levelized_cycles, walks ? 8u : 0u);
-    EXPECT_EQ(r.retry_passes, 0u);
-  }
+  WideLevels sys;
+  const RunResult r = engine_run(GetParam().engine, sys.sched)(RunOptions{}.for_cycles(8));
+  EXPECT_EQ(r.cycles, 8u);
+  EXPECT_EQ(r.firings, 8u * 2 * WideLevels::kWidth * (batched ? 4 : 1));
+  EXPECT_EQ(r.levelized_cycles, walks ? 8u : 0u);
+  EXPECT_EQ(r.retry_passes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -512,6 +507,22 @@ TEST(PortTables, PassOptionsChangedBetweenCyclesLowerAndResolveAgain) {
   sched.set_pass_options(opt::PassOptions{});
   sched.cycle();
   EXPECT_EQ(sched.net("y").last().value(), fixpt::quantize(0.3, kFine));
+}
+
+// set_pass_options is the one knob: run() leaves every SFG's options as
+// they were set.
+TEST(PortTables, RunKeepsThePassOptionsSetBeforeIt) {
+  dect::DectTransceiver t;
+  t.drive_sample(0.5);
+  sched::CycleScheduler& sched = t.scheduler();
+  sched.set_pass_options(opt::PassOptions::none());
+  const RunResult r = sched.run(RunOptions{}.for_cycles(2));
+  EXPECT_EQ(r.cycles, 2u);
+  std::vector<sfg::Sfg*> sfgs;
+  for (const sched::Component* c : sched.components()) c->collect_sfgs(sfgs);
+  ASSERT_FALSE(sfgs.empty());
+  for (const sfg::Sfg* s : sfgs)
+    EXPECT_EQ(s->pass_options(), opt::PassOptions::none()) << s->name();
 }
 
 TEST(PortTables, FreshStampAfterRegisterOutputsRecomputesEveryOutput) {

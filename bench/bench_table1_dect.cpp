@@ -202,7 +202,7 @@ BENCHMARK(BM_Dect_CompiledCode);
 void BM_Dect_JitCompiled(benchmark::State& state) {
   DectTransceiver t;
   t.drive_sample(0.5);
-  jit::JitSystem js = jit::JitSystem::compile(t.scheduler());
+  sim::CompiledSystem js = jit::compile(t.scheduler());
   for (auto _ : state) js.cycle();
   state.counters["cycles/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
@@ -233,7 +233,7 @@ void pipeline_compile_bench(benchmark::State& state, bool warm) {
     req.engine = "jit";
     req.store_dir = dir;
     req.probes = {"sample", "hold_request"};
-    req.tiered = false;
+    req.swap_at = 0;
     return pipeline::compile(req);
   };
   if (warm) {
@@ -288,13 +288,13 @@ BENCHMARK(BM_Dect_PipelineWarm)->Unit(benchmark::kMillisecond);
 void BM_Dect_TieredFirstCycle(benchmark::State& state) {
   const std::string dir = "/tmp/asicpp-bench-tiered-" + std::to_string(getpid());
   std::filesystem::remove_all(dir);
-  const auto request = [&](DectTransceiver& t, bool tiered) {
+  const auto request = [&](DectTransceiver& t, std::optional<std::uint64_t> swap_at) {
     pipeline::CompileRequest req;
     req.design = &t.scheduler();
     req.engine = "jit";
     req.store_dir = dir;
     req.probes = {"sample", "hold_request"};
-    req.tiered = tiered;
+    req.swap_at = swap_at;
     return req;
   };
   double native_first = 0.0;
@@ -304,7 +304,7 @@ void BM_Dect_TieredFirstCycle(benchmark::State& state) {
     auto t = std::make_unique<DectTransceiver>();
     t->drive_sample(0.5);
     state.ResumeTiming();
-    auto r = pipeline::compile(request(*t, true));
+    auto r = pipeline::compile(request(*t, std::nullopt));
     if (!r.ok) {
       state.SkipWithError(r.error.c_str());
       return;
@@ -314,7 +314,7 @@ void BM_Dect_TieredFirstCycle(benchmark::State& state) {
     native_first += r.instance->tier().value_or(engine::Tier{}).native ? 1.0 : 0.0;
     DectTransceiver joiner;  // the same design and state: the same build
     joiner.drive_sample(0.5);
-    const auto joined = pipeline::compile(request(joiner, false));
+    const auto joined = pipeline::compile(request(joiner, 0));
     if (!joined.ok || !joined.instance->tier().value_or(engine::Tier{}).native) {
       state.SkipWithError("the background build did not produce native code");
       return;
@@ -381,7 +381,7 @@ void BM_Dect_SessionLibrary(benchmark::State& state) {
   req.design = &design->scheduler();
   req.engine = "jit";
   req.probes = design->default_probes();
-  req.tiered = false;  // time native code
+  req.swap_at = 0;  // time native code
   const pipeline::CompileResult r = pipeline::compile(req);
   if (!r.ok) {
     state.SkipWithError(r.error.c_str());

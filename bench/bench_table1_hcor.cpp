@@ -79,7 +79,7 @@ BENCHMARK(BM_Hcor_CompiledCode);
 void BM_Hcor_JitCompiled(benchmark::State& state) {
   Hcor h;
   h.scheduler().net("rx").drive(fixpt::Fixed(1.0));
-  jit::JitSystem js = jit::JitSystem::compile(h.scheduler());
+  sim::CompiledSystem js = jit::compile(h.scheduler());
   for (auto _ : state) {
     h.scheduler().net("rx").drive(fixpt::Fixed(noise_bit() ? 1.0 : 0.0));
     js.cycle();

@@ -75,13 +75,11 @@ struct TraceOptions {
   /// from lane 0 is a determinism-contract violation reported via
   /// Trace::fail_reason). Other engines ignore it. 0 is treated as 1.
   unsigned lanes = 4;
-  /// jit: return before native code is built and run the tape until it
-  /// lands (jit::JitOptions::tiered). The trace loops leave it off, so
-  /// they exercise native code from the swap cycle on.
-  bool tiered = false;
-  /// jit: the earliest cycle native code may take over at
-  /// (jit::JitOptions::hold_swap).
-  std::uint64_t hold_swap = 0;
+  /// jit: where native code takes over from the tape
+  /// (jit::JitOptions::swap_at). Unset: once its build lands, with no
+  /// wait. k: at cycle k, which waits for the build. The trace loops keep
+  /// 0, so they exercise native code from the swap cycle on.
+  std::optional<std::uint64_t> swap_at = 0;
   /// Sink for the engine's own findings (JIT-00x); null = the engine's
   /// own. A tiered jit reports at a later cycle boundary, so the sink must
   /// outlive the instance.
@@ -93,6 +91,11 @@ struct TraceOptions {
 struct Tier {
   bool native = false;
   std::uint64_t swap_cycle = 0;  ///< first cycle run natively (when native)
+  /// The open reused a stored compile artifact (no compiler ran).
+  bool from_cache = false;
+  /// Wall-clock seconds spent in the host compiler (0 on a store hit, and
+  /// until a background build is taken over).
+  double compile_seconds = 0.0;
 };
 
 /// One engine's replay of a spec. `values[cycle][probe]` follows
@@ -133,12 +136,8 @@ class Instance {
   virtual bool save_state(std::ostream& os);
   virtual bool restore_state(std::istream& is);
 
-  /// True when construction reused a stored compile artifact (jit engine
-  /// served from the shared artifact store).
-  virtual bool from_cache() const { return false; }
-  /// Wall-clock seconds spent in an external compiler (0 on a store hit).
-  virtual double compile_seconds() const { return 0.0; }
-  /// The running tier of a tiered engine; nullopt for the others.
+  /// The running tier of a tiered engine and what its open cost; nullopt
+  /// for the others.
   virtual std::optional<Tier> tier() const { return std::nullopt; }
 };
 

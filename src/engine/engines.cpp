@@ -40,14 +40,16 @@ std::string scratch_dir(const TraceOptions& opts) {
   return "/tmp";
 }
 
-jit::JitOptions jit_options(const TraceOptions& opts) {
+/// The compiled tape of `s`, and for the jit engine its native tier.
+sim::CompiledSystem compile_tape(const sched::CycleScheduler& s, bool native,
+                                 const TraceOptions& opts) {
+  if (!native) return sim::CompiledSystem::compile(s, opts.passes);
   jit::JitOptions jo;
   jo.cxx = opts.cxx;
   jo.cache_dir = opts.store_dir;
   jo.diagnostics = opts.diagnostics;
-  jo.tiered = opts.tiered;
-  jo.hold_swap = opts.hold_swap;
-  return jo;
+  jo.swap_at = opts.swap_at;
+  return jit::compile(s, opts.passes, jo);
 }
 
 // --- interpreted CycleScheduler (iterative / levelized) --------------------
@@ -126,15 +128,16 @@ class InterpretedEngine : public Engine {
   Capabilities caps_;
 };
 
-// --- compiled flat-tape simulator ------------------------------------------
+// --- compiled flat-tape simulator and the in-process JIT --------------------
 
 class TapeInstance : public Instance {
  public:
-  TapeInstance(const Spec& spec, const TraceOptions& opts)
+  TapeInstance(const Spec& spec, bool native, const TraceOptions& opts)
       : sys_(std::make_unique<System>(spec)),
-        cs_(sim::CompiledSystem::compile(sys_->scheduler(), opts.passes)) {}
-  TapeInstance(sched::CycleScheduler& s, const TraceOptions& opts)
-      : sched_(&s), cs_(sim::CompiledSystem::compile(s, opts.passes)) {}
+        native_(native),
+        cs_(compile_tape(sys_->scheduler(), native, opts)) {}
+  TapeInstance(sched::CycleScheduler& s, bool native, const TraceOptions& opts)
+      : sched_(&s), native_(native), cs_(compile_tape(s, native, opts)) {}
 
   void cycle() override { cs_.cycle(); }
   double probe(const std::string& n) const override { return cs_.net_value(n); }
@@ -155,19 +158,28 @@ class TapeInstance : public Instance {
     cs_.restore_state(is);
     return true;
   }
+  std::optional<Tier> tier() const override {
+    if (!native_) return std::nullopt;
+    return Tier{cs_.native(), cs_.swap_cycle(), cs_.from_cache(), cs_.compile_seconds()};
+  }
 
  private:
   std::unique_ptr<System> sys_;  ///< null when bound to a live scheduler
   sched::CycleScheduler* sched_ = nullptr;  ///< set only for live bindings
+  bool native_;  ///< the jit engine's instance
   sim::CompiledSystem cs_;
 };
 
+/// `compiled`, the tape; and `jit`, the tape with its native tier.
 class CompiledEngine : public Engine {
  public:
-  CompiledEngine() {
-    caps_.checkpointable = true;
+  CompiledEngine(std::string name, bool native) : name_(std::move(name)), native_(native) {
+    caps_.checkpointable = true;  // the jit shares the tape's ckpt format
     caps_.pass_aware = true;
-    caps_.pass_axis = true;  // passes-off replay uses the raw tape
+    // Only the tape contributes a passes-off replay (the raw tape): a
+    // second host-compiler run per spec would double the axis' cost for no
+    // new coverage.
+    caps_.pass_axis = !native;
     caps_.in_process = true;
   }
 
@@ -182,12 +194,12 @@ class CompiledEngine : public Engine {
 
   std::unique_ptr<Instance> instantiate(
       const Spec& spec, const TraceOptions& opts) const override {
-    return std::make_unique<TapeInstance>(spec, opts);
+    return std::make_unique<TapeInstance>(spec, native_, opts);
   }
 
   std::unique_ptr<Instance> bind(sched::CycleScheduler& sched,
                                  const TraceOptions& opts) const override {
-    return std::make_unique<TapeInstance>(sched, opts);
+    return std::make_unique<TapeInstance>(sched, native_, opts);
   }
 
   opt::PassOptions noopt_passes() const override {
@@ -195,84 +207,8 @@ class CompiledEngine : public Engine {
   }
 
  private:
-  std::string name_ = "compiled";
-  Capabilities caps_;
-};
-
-// --- in-process JIT --------------------------------------------------------
-
-class JitInstance : public Instance {
- public:
-  JitInstance(const Spec& spec, const TraceOptions& opts)
-      : sys_(std::make_unique<System>(spec)),
-        js_(jit::JitSystem::compile(sys_->scheduler(), opts.passes,
-                                    jit_options(opts))) {}
-  JitInstance(sched::CycleScheduler& s, const TraceOptions& opts)
-      : sched_(&s), js_(jit::JitSystem::compile(s, opts.passes, jit_options(opts))) {}
-
-  void cycle() override { js_.cycle(); }
-  double probe(const std::string& n) const override { return js_.net_value(n); }
-  bool has_net(const std::string& n) const override { return js_.has_net(n); }
-  void poke(const std::string& n, double v) override {
-    // Same live-binding rule as TapeInstance: the generated image refreshes
-    // external pins from the sched::Net each cycle.
-    js_.poke(n, v);
-    if (sched_ != nullptr)
-      if (sched::Net* net = sched_->find_net(n)) net->drive(fixpt::Fixed(v));
-  }
-  bool save_state(std::ostream& os) override {
-    js_.save_state(os);
-    return true;
-  }
-  bool restore_state(std::istream& is) override {
-    js_.restore_state(is);
-    return true;
-  }
-  bool from_cache() const override { return js_.from_cache(); }
-  double compile_seconds() const override { return js_.compile_seconds(); }
-  std::optional<Tier> tier() const override {
-    return Tier{js_.native(), js_.swap_cycle()};
-  }
-
- private:
-  std::unique_ptr<System> sys_;  ///< null when bound to a live scheduler
-  sched::CycleScheduler* sched_ = nullptr;  ///< set only for live bindings
-  jit::JitSystem js_;
-};
-
-class JitEngine : public Engine {
- public:
-  JitEngine() {
-    caps_.checkpointable = true;  // shares the compiled tape's ckpt format
-    caps_.pass_aware = true;
-    // No passes-off replay of its own: the raw tape is already covered by
-    // the compiled engine, and a second host-compiler run per spec would
-    // double the axis' cost for no new coverage.
-    caps_.pass_axis = false;
-    caps_.in_process = true;
-  }
-
-  const std::string& name() const override { return name_; }
-  const Capabilities& caps() const override { return caps_; }
-
-  std::string domain_limit(const Spec& spec) const override {
-    if (spec.has(CompKind::kAdapter))
-      return "dataflow adapters have no compiled-simulation image";
-    return {};
-  }
-
-  std::unique_ptr<Instance> instantiate(
-      const Spec& spec, const TraceOptions& opts) const override {
-    return std::make_unique<JitInstance>(spec, opts);
-  }
-
-  std::unique_ptr<Instance> bind(sched::CycleScheduler& sched,
-                                 const TraceOptions& opts) const override {
-    return std::make_unique<JitInstance>(sched, opts);
-  }
-
- private:
-  std::string name_ = "jit";
+  std::string name_;
+  bool native_;
   Capabilities caps_;
 };
 
@@ -563,10 +499,10 @@ void register_builtin_engines(Registry& r) {
                                             ScheduleMode::kIterative));
   r.add(std::make_unique<InterpretedEngine>("levelized",
                                             ScheduleMode::kLevelized));
-  r.add(std::make_unique<CompiledEngine>());
+  r.add(std::make_unique<CompiledEngine>("compiled", false));
   r.add(std::make_unique<CppgenEngine>());
   r.add(std::make_unique<GatesEngine>());
-  r.add(std::make_unique<JitEngine>());
+  r.add(std::make_unique<CompiledEngine>("jit", true));
   r.add(std::make_unique<BatchedEngine>());
 }
 

@@ -30,9 +30,10 @@ extern char** environ;
 
 namespace asicpp::jit {
 
-using CS = sim::CompiledSystem;
 using sim::JitState;
 using sim::kJitAbi;
+using sim::NativeBuild;
+using sim::NativeKernel;
 
 // ---------------------------------------------------------------------------
 // External commands: posix_spawnp from an argv, stdout and stderr on one
@@ -225,66 +226,44 @@ std::uint64_t content_key(const sim::UnitParts& unit, const JitOptions& jopts) {
 // ---------------------------------------------------------------------------
 // Load, build and compile.
 
-struct Kernel {
-  std::string path;
-  void* handle = nullptr;
-  int (*cycle)(JitState*, int) = nullptr;
-
-  Kernel() = default;
-  Kernel(const Kernel&) = delete;
-  Kernel& operator=(const Kernel&) = delete;
-  ~Kernel() {
-    if (handle != nullptr) dlclose(handle);
-  }
-};
-
-struct Build {
-  // Written by the build thread before `done` is set; read-only after.
-  std::shared_ptr<const Kernel> kernel;  ///< null when the build failed
-  std::vector<diag::Diagnostic> findings;
-  double compile_seconds = 0.0;
-  /// Set when the build ended. Owned apart from the Build, so the build
-  /// thread drops its Build (and the object with it) before setting it:
-  /// the last engine holding the object unloads it.
-  std::shared_ptr<std::atomic<bool>> done = std::make_shared<std::atomic<bool>>(false);
-};
-
 namespace {
 
 /// dlopen `path` and check that it is an artifact of this ABI revision and
-/// of the design whose IR hashes to `ir_hash`. Null with `why` on failure.
-std::shared_ptr<const Kernel> load(const std::string& path, std::uint64_t ir_hash,
-                                   std::string* why) {
-  auto k = std::make_shared<Kernel>();
-  k->handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (k->handle == nullptr) {
+/// of the design whose IR hashes to `ir_hash`. No cycle entry, with `why`,
+/// on failure.
+NativeKernel load(const std::string& path, std::uint64_t ir_hash, std::string* why) {
+  void* handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (handle == nullptr) {
     const char* e = dlerror();
     *why = e != nullptr ? e : "dlopen failed";
-    return nullptr;
+    return {};
   }
-  const auto sym = [&](const char* name) { return dlsym(k->handle, name); };
+  NativeKernel k;
+  k.object = std::shared_ptr<const void>(handle, [](void* h) { dlclose(h); });
+  const auto sym = [&](const char* name) { return dlsym(handle, name); };
   auto* abi = reinterpret_cast<unsigned (*)()>(sym("asicpp_jit_abi"));
   auto* hash =
       reinterpret_cast<unsigned long long (*)()>(sym("asicpp_jit_ir_hash"));
-  k->cycle = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_cycle"));
-  if (abi == nullptr || hash == nullptr || k->cycle == nullptr) {
+  auto* cycle = reinterpret_cast<int (*)(JitState*, int)>(sym("asicpp_jit_cycle"));
+  if (abi == nullptr || hash == nullptr || cycle == nullptr) {
     *why = "missing entry point (not an asicpp jit artifact?)";
-    return nullptr;
+    return {};
   }
   if (abi() != kJitAbi) {
     *why = "ABI revision " + std::to_string(abi()) + ", this library expects " +
            std::to_string(kJitAbi);
-    return nullptr;
+    return {};
   }
   if (hash() != ir_hash) {
     *why = "IR content hash mismatch (artifact belongs to a different design)";
-    return nullptr;
+    return {};
   }
-  k->path = path;
+  k.cycle = cycle;
+  k.path = path;
   return k;
 }
 
-diag::Diagnostic& finding(Build& b, const char* code, std::string message) {
+diag::Diagnostic& finding(NativeBuild& b, const char* code, std::string message) {
   b.findings.push_back(diag::Diagnostic{diag::Severity::kWarning, code, "jit engine",
                                         diag::kNoCycle, std::move(message), {}});
   return b.findings.back();
@@ -293,7 +272,7 @@ diag::Diagnostic& finding(Build& b, const char* code, std::string message) {
 /// The background half of a cold compile: write the unit, run the
 /// compilers, rename the object into the store and load it. Runs on a
 /// thread of its own and reports into `b` only.
-void run_build(Build& b, const sim::UnitParts& unit, const JitOptions& jopts,
+void run_build(NativeBuild& b, const sim::UnitParts& unit, const JitOptions& jopts,
                const pipeline::ArtifactStore& store, std::uint64_t key,
                std::uint64_t ir_hash) {
   const std::size_t nparts = unit.bodies.size();
@@ -377,7 +356,7 @@ void run_build(Build& b, const sim::UnitParts& unit, const JitOptions& jopts,
 
   std::string why;
   b.kernel = load(so, ir_hash, &why);
-  if (b.kernel == nullptr)
+  if (b.kernel.cycle == nullptr)
     finding(b, "JIT-003",
             "compiled artifact failed to load (" + why + "); falling back to interpreted tape");
 }
@@ -386,7 +365,7 @@ void run_build(Build& b, const sim::UnitParts& unit, const JitOptions& jopts,
 /// builds still running at exit unregister here before they are joined.
 struct Flights {
   std::mutex mu;
-  std::map<std::pair<std::string, std::uint64_t>, std::shared_ptr<Build>> running;
+  std::map<std::pair<std::string, std::uint64_t>, std::shared_ptr<NativeBuild>> running;
 };
 
 Flights& flights() {
@@ -399,16 +378,16 @@ Flights& flights() {
 /// started on `unit`, which it moves from. The store is checked under the
 /// registry's lock, which a build leaves only after its rename, so a build
 /// that lands meanwhile is found one way or the other.
-std::shared_ptr<Build> flight(const pipeline::ArtifactStore& store, std::uint64_t key,
-                              bool check_store, sim::UnitParts& unit,
-                              const JitOptions& jopts, std::uint64_t ir_hash) {
+std::shared_ptr<NativeBuild> flight(const pipeline::ArtifactStore& store, std::uint64_t key,
+                                    bool check_store, sim::UnitParts& unit,
+                                    const JitOptions& jopts, std::uint64_t ir_hash) {
   Flights& fl = flights();
   const std::pair<std::string, std::uint64_t> id{store.dir(), key};
   const std::lock_guard<std::mutex> lk(fl.mu);
   if (const auto it = fl.running.find(id); it != fl.running.end()) return it->second;
   if (check_store && store.contains("jit", key, "so")) return nullptr;
-  auto b = std::make_shared<Build>();
-  const auto failed = [](Build& build, const std::exception& ex) {
+  auto b = std::make_shared<NativeBuild>();
+  const auto failed = [](NativeBuild& build, const std::exception& ex) {
     finding(build, "JIT-002",
             std::string("build failed: ") + ex.what() + "; falling back to interpreted tape");
   };
@@ -444,127 +423,34 @@ std::shared_ptr<Build> flight(const pipeline::ArtifactStore& store, std::uint64_
 
 }  // namespace
 
-std::string JitSystem::artifact_path() const {
-  return kernel_ != nullptr ? kernel_->path : std::string();
-}
-
-JitSystem JitSystem::compile(const sched::CycleScheduler& sched,
-                             const opt::PassOptions& passes,
-                             const JitOptions& jopts) {
-  JitSystem js(CS::compile(sched, passes));
-  // One origin for all of this engine's diagnostics, fallback included.
-  js.cs_.core_.origin = "jit engine";
-  js.sink_ = jopts.diagnostics;
-  js.hold_swap_ = jopts.hold_swap;
-
-  sim::UnitParts unit = js.cs_.emit_parts();
+sim::CompiledSystem compile(const sched::CycleScheduler& sched, const opt::PassOptions& passes,
+                            const JitOptions& jopts) {
+  sim::CompiledSystem cs = sim::CompiledSystem::compile(sched, passes);
+  sim::UnitParts unit = cs.emit_parts();
   const std::uint64_t key = content_key(unit, jopts);
   const pipeline::ArtifactStore store(jopts.cache_dir);
-  const std::uint64_t ir_hash = js.cs_.state_hash();
+  const std::uint64_t ir_hash = cs.state_hash();
 
-  js.build_ = flight(store, key, !jopts.force_recompile, unit, jopts, ir_hash);
-  if (js.build_ == nullptr) {
+  std::shared_ptr<NativeBuild> build = flight(store, key, true, unit, jopts, ir_hash);
+  if (build == nullptr) {
     // A stored artifact: a build that has already ended.
     const std::string so = store.path("jit", key, "so");
     std::string why;
-    if (std::shared_ptr<const Kernel> k = load(so, ir_hash, &why)) {
-      js.build_ = std::make_shared<Build>();
-      js.build_->kernel = std::move(k);
-      js.build_->done->store(true);
-      js.from_cache_ = true;
+    build = std::make_shared<NativeBuild>();
+    build->kernel = load(so, ir_hash, &why);
+    if (build->kernel.cycle != nullptr) {
+      build->from_cache = true;
+      build->done->store(true);
     } else {
-      diag::DiagEngine& de = js.sink_ != nullptr ? *js.sink_ : js.cs_.diagnostics();
+      diag::DiagEngine& de = jopts.diagnostics != nullptr ? *jopts.diagnostics : cs.diagnostics();
       de.warning("JIT-004", "jit engine",
                  "discarding stale or corrupt cache entry " + so + ": " + why);
       store.discard("jit", key, "so");
-      js.build_ = flight(store, key, false, unit, jopts, ir_hash);
+      build = flight(store, key, false, unit, jopts, ir_hash);
     }
   }
-  if (!jopts.tiered) js.build_->done->wait(false, std::memory_order_acquire);
-  js.take_build();
-  return js;
-}
-
-void JitSystem::take_build() {
-  const Build& b = *build_;
-  if (!b.done->load(std::memory_order_acquire)) return;
-  if (b.kernel != nullptr && cs_.cycles_ < hold_swap_) return;
-  diag::DiagEngine& de = sink_ != nullptr ? *sink_ : cs_.diagnostics();
-  for (const diag::Diagnostic& d : b.findings) de.report(d);
-  compile_seconds_ = b.compile_seconds;
-  if (b.kernel != nullptr) {
-    kernel_ = b.kernel;
-    fn_cycle_ = kernel_->cycle;
-    native_ = true;
-    swap_cycle_ = cs_.cycles_;
-  }
-  build_.reset();
-}
-
-// ---------------------------------------------------------------------------
-// Runtime.
-
-JitState JitSystem::make_state() {
-  JitState st;
-  st.S = cs_.slots_.data();
-  st.T = cs_.tok_.data();
-  st.state = cs_.state_.data();
-  st.fired = cs_.fired_.data();
-  st.sel = cs_.sel_.data();
-  st.pending = cs_.pending_.data();
-  st.host = this;
-  st.fire_untimed = &JitSystem::fire_untimed_cb;
-  return st;
-}
-
-int JitSystem::fire_untimed_cb(void* host, int comp) {
-  auto* self = static_cast<JitSystem*>(host);
-  if (self->untimed_fault_ != nullptr) return -1;
-  try {
-    self->cs_.invoke_untimed(static_cast<std::size_t>(comp), 0);
-    return 1;
-  } catch (...) {
-    self->untimed_fault_ = std::current_exception();
-    return -1;
-  }
-}
-
-// Phases 0-3 run in the emitted unit; the walk decision and SCHED-001/002
-// are the shared phase-2 core's (sched/phase2.h).
-void JitSystem::native_cycle() {
-  cs_.begin_cycle();
-  JitState st = make_state();
-  const sim::Image& img = *cs_.img_;
-  sched::Phase2& core = cs_.core_;
-  const bool walk = core.walks(img.level_offsets, img.sched_reason, cs_.cycles_);
-  const int ret = fn_cycle_(&st, walk ? 1 : 0);
-
-  if (untimed_fault_ != nullptr) std::rethrow_exception(std::exchange(untimed_fault_, nullptr));
-  if (st.deadlock == 2) cs_.unknown_opcode(static_cast<std::size_t>(st.dl_comp), st.dl_op, 0);
-  if (ret < 0 || st.deadlock == 1) core.deadlock(cs_.postmortem());
-
-  // The unit returns the sweeps it made beyond the first.
-  core.retry_passes += static_cast<std::uint64_t>(ret);
-  if (walk) core.walk_outcome(ret == 0, cs_.cycles_);
-  for (const int f : cs_.fired_) core.firings += f != 0 ? 1 : 0;
-  ++cs_.cycles_;
-}
-
-void JitSystem::cycle() {
-  if (build_ != nullptr) take_build();
-  if (native_)
-    native_cycle();
-  else
-    cs_.cycle();
-}
-
-RunResult JitSystem::run(const RunOptions& opts) {
-  // Profiled runs stay on the tape engine, which implements the full
-  // unified contract (per-component timing needs the instrumented
-  // interpreter loop); every other run steps through cycle(), so a build
-  // that lands mid-run is taken over at the next cycle boundary.
-  if (opts.profile) return cs_.run(opts);
-  return cs_.run_steps(opts, [this] { cycle(); });
+  cs.attach_native(std::move(build), jopts.swap_at, jopts.diagnostics);
+  return cs;
 }
 
 }  // namespace asicpp::jit

@@ -1,7 +1,9 @@
 #include "pipeline/pipeline.h"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/snapshot.h"
 #include "pipeline/artifact.h"
@@ -22,10 +24,18 @@ engine::TraceOptions trace_options(const CompileRequest& req) {
   t.cxx = req.cxx;
   t.store_dir = req.store_dir;
   t.lanes = req.lanes;
-  t.tiered = req.tiered;
-  t.hold_swap = req.hold_swap;
+  t.swap_at = req.swap_at;
   t.diagnostics = req.diagnostics;
   return t;
+}
+
+/// `r` with a bound instance: its store hit and compile time, and ok.
+CompileResult bound(CompileResult r) {
+  const std::optional<engine::Tier> tier = r.instance->tier();
+  r.store_hit = tier && tier->from_cache;
+  r.compile_seconds = tier ? tier->compile_seconds : 0.0;
+  r.ok = true;
+  return r;
 }
 
 CompileResult failure(const CompileRequest& req, const std::string& code,
@@ -91,10 +101,7 @@ CompileResult compile(const CompileRequest& req) {
                          "' cannot bind to a live design (not in_process)");
     r.stages.push_back({"bind", seconds_since(t0)});
     r.probes = req.probes;
-    r.store_hit = r.instance->from_cache();
-    r.compile_seconds = r.instance->compile_seconds();
-    r.ok = true;
-    return r;
+    return bound(std::move(r));
   }
 
   // --- spec-based request: parse -> elaborate -> bind ----------------------
@@ -138,10 +145,7 @@ CompileResult compile(const CompileRequest& req) {
     r.stages.push_back({"bind", seconds_since(t0)});
   }
 
-  r.store_hit = r.instance->from_cache();
-  r.compile_seconds = r.instance->compile_seconds();
-  r.ok = true;
-  return r;
+  return bound(std::move(r));
 }
 
 }  // namespace asicpp::pipeline

@@ -17,7 +17,7 @@
 // compile artifact from the shared ArtifactStore (the jit engine's warm
 // path). A cold jit bind is tiered by default: it returns once the unit is
 // emitted, and native code takes over from the tape when its background
-// build lands (CompileRequest::tiered). diff_run, the benches,
+// build lands (CompileRequest::swap_at unset). diff_run, the benches,
 // asicpp-fuzz's corpus replays and every simulation-service session go
 // through this one path, so "how a design becomes something that cycles"
 // exists exactly once.
@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,12 +69,12 @@ struct CompileRequest {
   std::string store_dir;
   /// Lane count for the batched engine.
   unsigned lanes = 4;
-  /// jit: return once the unit is emitted and cycle on the tape until the
-  /// native code, built in the background, takes over at a cycle boundary.
-  /// false: wait for native code (diff_run, and benches that time it).
-  bool tiered = true;
-  /// jit: the earliest cycle native code may take over at.
-  std::uint64_t hold_swap = 0;
+  /// jit: where native code takes over from the tape
+  /// (jit::JitOptions::swap_at). Unset: return once the unit is emitted and
+  /// cycle on the tape until the native code, built in the background,
+  /// takes over at a cycle boundary. k: at cycle k, which waits for it; 0
+  /// waits in compile() (diff_run, and benches that time native code).
+  std::optional<std::uint64_t> swap_at;
   /// Optional sink for PIPE diagnostics and the engine's own findings
   /// (JIT-00x). A tiered jit reports its build's findings at a later cycle
   /// boundary, so a sink must outlive the instance.

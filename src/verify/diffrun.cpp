@@ -29,7 +29,7 @@ engine::TraceOptions trace_options(const Spec& spec, const DiffOptions& opts) {
   t.cxx = opts.cxx;
   t.store_dir = opts.store_dir;
   t.lanes = opts.lanes;
-  t.hold_swap = swap_cycle(spec);
+  t.swap_at = swap_cycle(spec);
   return t;
 }
 
@@ -55,8 +55,7 @@ EngineTrace trace_via_pipeline(const Spec& spec, const std::string& name,
   req.cxx = opts.cxx;
   req.store_dir = opts.store_dir;
   req.lanes = opts.lanes;
-  req.tiered = false;
-  req.hold_swap = swap_cycle(spec);
+  req.swap_at = swap_cycle(spec);
   pipeline::CompileResult c = pipeline::compile(req);
   if (!c.ok) {
     if (c.code == "PIPE-004")

@@ -250,7 +250,7 @@ TEST(Batched, LevelizedRequestOnCyclicImageReportsSched002Once) {
   sim::CompiledSystem cs = sim::CompiledSystem::compile(ref.sched);
   jit::JitOptions jo;
   jo.cache_dir = ::testing::TempDir() + "/batch_sched002_store";
-  jit::JitSystem js = jit::JitSystem::compile(jsys.sched, {}, jo);
+  sim::CompiledSystem js = jit::compile(jsys.sched, {}, jo);
   EXPECT_TRUE(js.native()) << "jit fell back to the tape";
   BatchedSystem bs = BatchedSystem::compile(sys.sched, 4);
   ASSERT_FALSE(bs.levelizable());
@@ -296,7 +296,7 @@ TEST(BatchedProfile, ListsCompiledComponentsWithLanesTimesFirings) {
   System jit_sys(spec);
   jit::JitOptions jo;
   jo.cache_dir = ::testing::TempDir() + "/batch_profile_store";
-  jit::JitSystem js = jit::JitSystem::compile(jit_sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(jit_sys.scheduler(), {}, jo);
   const RunResult rj = js.run(ro);
   EXPECT_EQ(names(rj), names(rc));
 

@@ -104,7 +104,7 @@ TEST(Hcor, CompiledEnginesMatchGoldenThroughRx) {
   sim::CompiledSystem cs = sim::CompiledSystem::compile(hc.scheduler());
   jit::JitOptions jo;
   jo.cache_dir = ::testing::TempDir() + "/hcor_jit_store";
-  jit::JitSystem js = jit::JitSystem::compile(hj.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(hj.scheduler(), {}, jo);
   batch::BatchedSystem b1 = batch::BatchedSystem::compile(hb1.scheduler(), 1);
   batch::BatchedSystem b4 = batch::BatchedSystem::compile(hb4.scheduler(), 4);
 

@@ -271,7 +271,7 @@ TEST(EmittedQuantizer, JitAndCppgenMatchTheTapeBitForBit) {
   sim::CompiledSystem tape = sim::CompiledSystem::compile(u.sched, raw);
   jit::JitOptions jo;
   jo.cache_dir = kStore;
-  jit::JitSystem js = jit::JitSystem::compile(u.sched, raw, jo);
+  sim::CompiledSystem js = jit::compile(u.sched, raw, jo);
   ASSERT_TRUE(js.native()) << "host compiler unavailable";
   const std::uint64_t cycles = kQuantStim.size() + 2;
   const Trace gen = run_cppgen(sim::CompiledSystem::compile(u.sched, raw), u.watch,

@@ -2,8 +2,8 @@
 // graceful degradation, snapshot round-trips bound to the IR hash, the
 // engine registry, the 200-seed jit differential axis, the unit compiled
 // in parts, the host compiler run without a shell, and the two tiers: the
-// swap from the tape to native code at every cycle, and single-flight
-// background builds.
+// swap from the tape to native code at every cycle, the boundary that
+// waits for a held swap's build, and single-flight background builds.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -82,7 +82,7 @@ Spec jit_spec(unsigned seed) {
   }
 }
 
-std::vector<std::vector<double>> jit_trace(jit::JitSystem& js, const Spec& spec,
+std::vector<std::vector<double>> jit_trace(sim::CompiledSystem& js, const Spec& spec,
                                            std::uint64_t cycles) {
   const auto probes = spec.probes();
   std::vector<std::vector<double>> values;
@@ -104,7 +104,7 @@ TEST(Jit, NativeTraceMatchesCompiledTape) {
   jo.cache_dir = cache;
 
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   ASSERT_TRUE(js.native());
   EXPECT_FALSE(js.from_cache());
   EXPECT_GT(js.compile_seconds(), 0.0);
@@ -161,12 +161,12 @@ TEST(Jit, SecondCompileHitsArtifactCache) {
   jo.cache_dir = cache;
 
   System a(spec);
-  jit::JitSystem ja = jit::JitSystem::compile(a.scheduler(), {}, jo);
+  sim::CompiledSystem ja = jit::compile(a.scheduler(), {}, jo);
   ASSERT_TRUE(ja.native());
   EXPECT_FALSE(ja.from_cache());
 
   System b(spec);
-  jit::JitSystem jb = jit::JitSystem::compile(b.scheduler(), {}, jo);
+  sim::CompiledSystem jb = jit::compile(b.scheduler(), {}, jo);
   ASSERT_TRUE(jb.native());
   EXPECT_TRUE(jb.from_cache());             // zero recompiles
   EXPECT_EQ(jb.compile_seconds(), 0.0);     // no compiler run at all
@@ -184,10 +184,10 @@ TEST(Jit, DifferentPassPipelineMissesCache) {
   jo.cache_dir = cache;
 
   System a(spec);
-  jit::JitSystem ja = jit::JitSystem::compile(a.scheduler(), {}, jo);
+  sim::CompiledSystem ja = jit::compile(a.scheduler(), {}, jo);
   System b(spec);
-  jit::JitSystem jb =
-      jit::JitSystem::compile(b.scheduler(), opt::PassOptions::raw(), jo);
+  sim::CompiledSystem jb =
+      jit::compile(b.scheduler(), opt::PassOptions::raw(), jo);
   ASSERT_TRUE(ja.native());
   ASSERT_TRUE(jb.native());
   // The raw pipeline emits different IR, so it cannot reuse the optimized
@@ -208,7 +208,7 @@ TEST(Jit, CorruptCacheEntryIsDiscardedAndRecompiled) {
   std::vector<std::vector<double>> reference;
   {
     System a(spec);
-    jit::JitSystem ja = jit::JitSystem::compile(a.scheduler(), {}, jo);
+    sim::CompiledSystem ja = jit::compile(a.scheduler(), {}, jo);
     ASSERT_TRUE(ja.native());
     reference = jit_trace(ja, spec, spec.cycles);
     artifact = ja.artifact_path();
@@ -224,7 +224,7 @@ TEST(Jit, CorruptCacheEntryIsDiscardedAndRecompiled) {
   diag::DiagEngine de;
   jo.diagnostics = &de;
   System b(spec);
-  jit::JitSystem jb = jit::JitSystem::compile(b.scheduler(), {}, jo);
+  sim::CompiledSystem jb = jit::compile(b.scheduler(), {}, jo);
   ASSERT_TRUE(jb.native());
   EXPECT_FALSE(jb.from_cache());  // the corrupt entry did not count as a hit
   EXPECT_TRUE(has_code(de, "JIT-004"));
@@ -244,7 +244,7 @@ TEST(Jit, MissingToolchainFallsBackToInterpretedTape) {
   jo.diagnostics = &de;
 
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   EXPECT_FALSE(js.native());
   EXPECT_TRUE(has_code(de, "JIT-001"));
 
@@ -278,7 +278,7 @@ TEST(Jit, CompileFailureFallsBack) {
   diag::DiagEngine de;
   jo.diagnostics = &de;
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   EXPECT_FALSE(js.native());
   EXPECT_TRUE(has_code(de, "JIT-002"));
   EXPECT_FALSE(jit_trace(js, spec, spec.cycles).empty());  // fallback runs
@@ -309,7 +309,7 @@ TEST(Jit, DlopenFailureFallsBack) {
   diag::DiagEngine de;
   jo.diagnostics = &de;
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   EXPECT_FALSE(js.native());
   EXPECT_TRUE(has_code(de, "JIT-003"));
   EXPECT_FALSE(jit_trace(js, spec, spec.cycles).empty());
@@ -327,18 +327,18 @@ TEST(Jit, SnapshotRoundTripResumesBitIdentically) {
   const std::uint64_t k = spec.cycles / 2;
 
   System sa(spec);
-  jit::JitSystem a = jit::JitSystem::compile(sa.scheduler(), {}, jo);
+  sim::CompiledSystem a = jit::compile(sa.scheduler(), {}, jo);
   ASSERT_TRUE(a.native());
   const auto straight = jit_trace(a, spec, spec.cycles);
 
   System sb(spec);
-  jit::JitSystem b = jit::JitSystem::compile(sb.scheduler(), {}, jo);
+  sim::CompiledSystem b = jit::compile(sb.scheduler(), {}, jo);
   const auto prefix = jit_trace(b, spec, k);
   std::stringstream snap;
   b.save_state(snap);
 
   System sc(spec);
-  jit::JitSystem c = jit::JitSystem::compile(sc.scheduler(), {}, jo);
+  sim::CompiledSystem c = jit::compile(sc.scheduler(), {}, jo);
   ASSERT_TRUE(c.from_cache());
   c.restore_state(snap);
   EXPECT_EQ(c.cycles(), k);
@@ -360,7 +360,7 @@ TEST(Jit, SnapshotInteroperatesWithCompiledSystem) {
   const std::uint64_t k = spec.cycles / 2;
 
   System sa(spec);
-  jit::JitSystem a = jit::JitSystem::compile(sa.scheduler(), {}, jo);
+  sim::CompiledSystem a = jit::compile(sa.scheduler(), {}, jo);
   ASSERT_TRUE(a.native());
   jit_trace(a, spec, k);
   std::stringstream snap;
@@ -382,13 +382,13 @@ TEST(Jit, SnapshotOfDifferentDesignIsRejected) {
   jo.cache_dir = cache;
 
   System sa(spec_a);
-  jit::JitSystem a = jit::JitSystem::compile(sa.scheduler(), {}, jo);
+  sim::CompiledSystem a = jit::compile(sa.scheduler(), {}, jo);
   jit_trace(a, spec_a, 2);
   std::stringstream snap;
   a.save_state(snap);
 
   System sb(spec_b);
-  jit::JitSystem b = jit::JitSystem::compile(sb.scheduler(), {}, jo);
+  sim::CompiledSystem b = jit::compile(sb.scheduler(), {}, jo);
   const auto before = jit_trace(b, spec_b, 2);
   EXPECT_THROW(b.restore_state(snap), ckpt::SnapshotError);
   // Failed restore must leave the engine exactly as it was.
@@ -419,7 +419,7 @@ TEST(Jit, RunHonorsWatchdogAndCheckpointCadence) {
   jit::JitOptions jo;
   jo.cache_dir = cache;
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   ASSERT_TRUE(js.native());
 
   diag::DiagEngine de;
@@ -538,7 +538,7 @@ Rows net_rows(Sim& sim, const std::vector<std::string>& nets, std::uint64_t cycl
 }
 
 /// Build `cs`'s one-file unit (emit_unit) as one translation unit, into
-/// jo's store under the key the jit looks up, so JitSystem::compile loads
+/// jo's store under the key the jit looks up, so jit::compile loads
 /// it instead of building the parts.
 void plant_one_unit(const sim::CompiledSystem& cs, const jit::JitOptions& jo) {
   const pipeline::ArtifactStore store(jo.cache_dir);
@@ -714,7 +714,7 @@ TEST(JitParts, DectTraceMatchesTapeAndOneUnit) {
   jit::JitOptions jo;
   jo.cache_dir = cache;
   dect::DectTransceiver tp;
-  jit::JitSystem jp = jit::JitSystem::compile(tp.scheduler(), {}, jo);
+  sim::CompiledSystem jp = jit::compile(tp.scheduler(), {}, jo);
   ASSERT_TRUE(jp.native());
   EXPECT_FALSE(jp.from_cache());
   EXPECT_TRUE(leftover_part_dirs(cache).empty());
@@ -725,14 +725,14 @@ TEST(JitParts, DectTraceMatchesTapeAndOneUnit) {
   jone.cache_dir = one;
   dect::DectTransceiver tu;
   plant_one_unit(sim::CompiledSystem::compile(tu.scheduler()), jone);
-  jit::JitSystem ju = jit::JitSystem::compile(tu.scheduler(), {}, jone);
+  sim::CompiledSystem ju = jit::compile(tu.scheduler(), {}, jone);
   ASSERT_TRUE(ju.native());
   ASSERT_TRUE(ju.from_cache());
   EXPECT_EQ(net_rows(ju, nets, kCycles, drive(tu)), want);
 
   // The part walk is a valid level walk: no cycle needed a second sweep.
   dect::DectTransceiver tl;
-  jit::JitSystem jl = jit::JitSystem::compile(tl.scheduler(), {}, jo);
+  sim::CompiledSystem jl = jit::compile(tl.scheduler(), {}, jo);
   ASSERT_TRUE(jl.from_cache());
   const RunResult r = jl.run(RunOptions{}.for_cycles(200));
   EXPECT_EQ(r.levelized_cycles, 200u);
@@ -756,11 +756,11 @@ TEST(JitParts, HcorAndFuzzSpecsMatchTapeAndOneUnit) {
     sim::CompiledSystem tape = sim::CompiledSystem::compile(a.scheduler());
     const std::vector<std::string> nets = net_names(a.scheduler());
     const Rows want = net_rows(tape, nets, 64, none);
-    jit::JitSystem js = jit::JitSystem::compile(b.scheduler(), {}, jo);
+    sim::CompiledSystem js = jit::compile(b.scheduler(), {}, jo);
     ASSERT_TRUE(js.native());
     EXPECT_EQ(net_rows(js, nets, 64, none), want);
     plant_one_unit(sim::CompiledSystem::compile(c.scheduler()), jone);
-    jit::JitSystem ju = jit::JitSystem::compile(c.scheduler(), {}, jone);
+    sim::CompiledSystem ju = jit::compile(c.scheduler(), {}, jone);
     ASSERT_TRUE(ju.from_cache());
     EXPECT_EQ(net_rows(ju, nets, 64, none), want);
   }
@@ -770,11 +770,11 @@ TEST(JitParts, HcorAndFuzzSpecsMatchTapeAndOneUnit) {
     sim::CompiledSystem tape = sim::CompiledSystem::compile(a.scheduler());
     const std::vector<std::string> nets = net_names(a.scheduler());
     const Rows want = net_rows(tape, nets, spec.cycles, none);
-    jit::JitSystem js = jit::JitSystem::compile(b.scheduler(), {}, jo);
+    sim::CompiledSystem js = jit::compile(b.scheduler(), {}, jo);
     ASSERT_TRUE(js.native()) << "seed " << seed;
     EXPECT_EQ(net_rows(js, nets, spec.cycles, none), want) << "seed " << seed;
     plant_one_unit(sim::CompiledSystem::compile(c.scheduler()), jone);
-    jit::JitSystem ju = jit::JitSystem::compile(c.scheduler(), {}, jone);
+    sim::CompiledSystem ju = jit::compile(c.scheduler(), {}, jone);
     ASSERT_TRUE(ju.from_cache()) << "seed " << seed;
     EXPECT_EQ(net_rows(ju, nets, spec.cycles, none), want) << "seed " << seed;
   }
@@ -790,7 +790,7 @@ TEST(JitParts, FailingPartReportsItsOwnCommand) {
   diag::DiagEngine de;
   jo.diagnostics = &de;
   dect::DectTransceiver t;
-  jit::JitSystem js = jit::JitSystem::compile(t.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(t.scheduler(), {}, jo);
   EXPECT_FALSE(js.native());
   bool found = false;
   for (const auto& d : de.all()) {
@@ -817,7 +817,7 @@ TEST(JitParts, EmptyLinkedObjectIsJit003) {
   diag::DiagEngine de;
   jo.diagnostics = &de;
   dect::DectTransceiver t;
-  jit::JitSystem js = jit::JitSystem::compile(t.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(t.scheduler(), {}, jo);
   EXPECT_FALSE(js.native());
   EXPECT_TRUE(has_code(de, "JIT-003")) << de.str();
   EXPECT_FALSE(has_code(de, "JIT-002")) << de.str();
@@ -838,7 +838,7 @@ TEST(JitCommand, CxxIsOneExecutableNotAShellLine) {
   jo.diagnostics = &de;
   const Spec spec = jit_spec(16);
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   EXPECT_FALSE(js.native());
   EXPECT_TRUE(has_code(de, "JIT-001")) << de.str();
   EXPECT_FALSE(std::filesystem::exists(marker));
@@ -868,7 +868,7 @@ TEST(JitCommand, FlagsSplitOnWhitespace) {
   jo.flags = "  -O1\t-std=c++17   -w ";
   const Spec spec = jit_spec(17);
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   EXPECT_TRUE(js.native());
   run_cmd("rm -rf " + cache);
 }
@@ -985,7 +985,7 @@ void check_swaps(const std::string& store, const Make& make, const Drive& drive)
   jo.cache_dir = store;
   // Alive to the end, which keeps the object mapped for the loop's loads.
   auto bd = make();
-  jit::JitSystem blocking = jit::JitSystem::compile(bd->scheduler(), {}, jo);
+  sim::CompiledSystem blocking = jit::compile(bd->scheduler(), {}, jo);
   ASSERT_TRUE(blocking.native());
   EXPECT_EQ(blocking.swap_cycle(), 0u);
   ASSERT_EQ(rows_between(blocking, nets, 0, kSwapRun, driving(*bd)), want);
@@ -994,8 +994,8 @@ void check_swaps(const std::string& store, const Make& make, const Drive& drive)
   for (std::uint64_t k = 0; k < kSwapCycles; ++k) {
     SCOPED_TRACE("swap held until cycle " + std::to_string(k));
     auto d = make();
-    jo.hold_swap = k;
-    jit::JitSystem js = jit::JitSystem::compile(d->scheduler(), {}, jo);
+    jo.swap_at = k;
+    sim::CompiledSystem js = jit::compile(d->scheduler(), {}, jo);
     const std::uint64_t j = k / 2;
     Rows got = rows_between(js, nets, 0, j, driving(*d));
     ASSERT_EQ(js.native(), k == 0);
@@ -1126,7 +1126,7 @@ TEST(JitFlight, ConcurrentColdOpensShareOneBuild) {
   jit::JitOptions jo;
   jo.cache_dir = cache;
   jo.cxx = counting_compiler(cache, log);
-  jo.tiered = true;
+  jo.swap_at = std::nullopt;
   const Spec spec = jit_spec(30);
   constexpr int kOpens = 4;
   std::vector<Rows> traces(kOpens);
@@ -1134,7 +1134,7 @@ TEST(JitFlight, ConcurrentColdOpensShareOneBuild) {
   for (int i = 0; i < kOpens; ++i)
     threads.emplace_back([&, i] {
       System sys(spec);
-      jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+      sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
       traces[static_cast<std::size_t>(i)] =
           rows_between(js, net_names(sys.scheduler()), 0, spec.cycles, [](std::uint64_t) {});
     });
@@ -1144,8 +1144,8 @@ TEST(JitFlight, ConcurrentColdOpensShareOneBuild) {
   // stored: either way it adds no compiler run.
   System sys(spec);
   jit::JitOptions wait = jo;
-  wait.tiered = false;
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, wait);
+  wait.swap_at = 0;
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, wait);
   ASSERT_TRUE(js.native());
   EXPECT_EQ(lines_in(log), 1u);
 
@@ -1161,13 +1161,13 @@ TEST(JitTier, TieredOpenRunsTheTapeUntilItsBuildLands) {
   const std::string cache = fresh_cache("asicpp_jit_tiered");
   jit::JitOptions jo;
   jo.cache_dir = cache;
-  jo.tiered = true;
+  jo.swap_at = std::nullopt;
   const auto drive = [](dect::DectTransceiver& t) {
     return [&t](std::uint64_t c) { t.drive_sample(static_cast<double>(c % 5) * 0.25 - 0.5); };
   };
   dect::DectTransceiver tt, tj;
   sim::CompiledSystem tape = sim::CompiledSystem::compile(tt.scheduler());
-  jit::JitSystem js = jit::JitSystem::compile(tj.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(tj.scheduler(), {}, jo);
   EXPECT_FALSE(js.from_cache());
   const std::vector<std::string> nets = net_names(tt.scheduler());
   // Cycle both until the jit has run natively for a while (bounded).
@@ -1189,12 +1189,12 @@ TEST(JitTier, ClosedInstanceLeavesItsBuildToLandInTheStore) {
   const std::string cache = fresh_cache("asicpp_jit_orphan");
   jit::JitOptions jo;
   jo.cache_dir = cache;
-  jo.tiered = true;
+  jo.swap_at = std::nullopt;
   const Spec spec = jit_spec(31);
   std::string so;
   {
     System sys(spec);
-    jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+    sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
     const pipeline::ArtifactStore store(cache);
     so = store.path("jit", jit::content_key(sim::CompiledSystem::compile(sys.scheduler())
                                                 .emit_parts(),
@@ -1207,8 +1207,8 @@ TEST(JitTier, ClosedInstanceLeavesItsBuildToLandInTheStore) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   System sys(spec);
-  jo.tiered = false;
-  EXPECT_TRUE(jit::JitSystem::compile(sys.scheduler(), {}, jo).from_cache());
+  jo.swap_at = 0;
+  EXPECT_TRUE(jit::compile(sys.scheduler(), {}, jo).from_cache());
   std::filesystem::remove_all(cache);
 }
 
@@ -1220,20 +1220,20 @@ TEST(JitTier, ProcessExitJoinsARunningBuild) {
   std::filesystem::create_directories(cache);
   jit::JitOptions jo;
   jo.cache_dir = cache;
-  jo.tiered = true;
+  jo.swap_at = std::nullopt;
   // The child opens DECT cold and exits at once, long before its ~1 s
   // build ends: exit must wait for the build, which lands in the store.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(
       {
         dect::DectTransceiver t;
-        jit::JitSystem js = jit::JitSystem::compile(t.scheduler(), {}, jo);
+        sim::CompiledSystem js = jit::compile(t.scheduler(), {}, jo);
         std::exit(js.native() ? 3 : 0);
       },
       ::testing::ExitedWithCode(0), "");
   dect::DectTransceiver t;
-  jo.tiered = false;
-  EXPECT_TRUE(jit::JitSystem::compile(t.scheduler(), {}, jo).from_cache());
+  jo.swap_at = 0;
+  EXPECT_TRUE(jit::compile(t.scheduler(), {}, jo).from_cache());
   std::filesystem::remove_all(cache);
 }
 
@@ -1242,12 +1242,12 @@ TEST(JitTier, MissingCompilerIsReportedAtTheFirstBoundary) {
   jit::JitOptions jo;
   jo.cache_dir = cache;
   jo.cxx = "/nonexistent/asicpp-no-such-compiler";
-  jo.tiered = true;
+  jo.swap_at = std::nullopt;
   diag::DiagEngine de;
   jo.diagnostics = &de;
   const Spec spec = jit_spec(32);
   System sys(spec);
-  jit::JitSystem js = jit::JitSystem::compile(sys.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
   // The build ends at once, but reports only at a cycle boundary, on the
   // thread that cycles the instance.
   const auto t0 = std::chrono::steady_clock::now();
@@ -1256,6 +1256,56 @@ TEST(JitTier, MissingCompilerIsReportedAtTheFirstBoundary) {
     js.cycle();
   }
   EXPECT_FALSE(js.native());
+  std::filesystem::remove_all(cache);
+}
+
+/// A host compiler that creates `started`, waits for `gate` (at most
+/// 120 s), then runs c++.
+std::string gated_compiler(const std::string& dir, const std::string& started,
+                           const std::string& gate) {
+  const std::string cc = dir + "/gated-cc";
+  std::ofstream os(cc);
+  os << "#!/bin/sh\n: > '" << started << "'\ni=0\n"
+     << "while [ ! -e '" << gate << "' ] && [ $i -lt 1200 ]; do sleep 0.1; i=$((i + 1)); done\n"
+     << "exec c++ \"$@\"\n";
+  os.close();
+  ::chmod(cc.c_str(), 0755);
+  return cc;
+}
+
+TEST(JitTier, SwapAtWaitsAtItsBoundaryNotInCompile) {
+  const std::string cache = fresh_cache("asicpp_jit_swap_at");
+  const std::string started = cache + "/compiler-started";
+  const std::string gate = cache + "/gate";
+  jit::JitOptions jo;
+  jo.cache_dir = cache;
+  jo.cxx = gated_compiler(cache, started, gate);
+  jo.swap_at = 5;
+  const Spec spec = jit_spec(33);
+  ASSERT_GT(spec.cycles, 6u);
+  System sys(spec);
+  sim::CompiledSystem js = jit::compile(sys.scheduler(), {}, jo);
+  EXPECT_FALSE(js.native());
+  // compile() has returned, and the compiler is held at the gate.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!std::filesystem::exists(started)) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(120));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::vector<std::string> nets = net_names(sys.scheduler());
+  const auto none = [](std::uint64_t) {};
+  Rows got = rows_between(js, nets, 0, 5, none);
+  EXPECT_FALSE(js.native());  // cycles 0-4 ran on the tape
+  std::ofstream(gate).put('\n');
+  // Cycle 5 waits for the build and runs natively.
+  const Rows rest = rows_between(js, nets, 5, spec.cycles, none);
+  got.insert(got.end(), rest.begin(), rest.end());
+  ASSERT_TRUE(js.native());
+  EXPECT_EQ(js.swap_cycle(), 5u);
+
+  System ref(spec);
+  sim::CompiledSystem tape = sim::CompiledSystem::compile(ref.scheduler());
+  EXPECT_EQ(got, rows_between(tape, nets, 0, spec.cycles, none));
   std::filesystem::remove_all(cache);
 }
 

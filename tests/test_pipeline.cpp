@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -26,10 +28,13 @@ using pipeline::ArtifactStore;
 using pipeline::CompileRequest;
 using pipeline::CompileResult;
 
+/// A fresh per-test directory path under $TMPDIR (else /tmp); the test
+/// removes what it creates there.
 std::string scratch_dir(const std::string& stem) {
-  const std::string d =
-      "/tmp/" + stem + "_" + std::to_string(static_cast<long>(getpid()));
-  std::system(("rm -rf " + d).c_str());
+  const char* t = std::getenv("TMPDIR");
+  const std::string d = std::string(t != nullptr ? t : "/tmp") + "/" + stem + "_" +
+                        std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(d);
   return d;
 }
 
@@ -49,6 +54,7 @@ TEST(ArtifactStore, PutFetchContainsDiscard) {
   EXPECT_TRUE(store.discard("jit", key, "cpp"));
   EXPECT_FALSE(store.contains("jit", key, "cpp"));
   EXPECT_FALSE(store.discard("jit", key, "cpp"));  // already gone
+  std::filesystem::remove_all(store.dir());
 }
 
 TEST(ArtifactStore, PathShapeIsStageHex16Ext) {
@@ -56,6 +62,7 @@ TEST(ArtifactStore, PathShapeIsStageHex16Ext) {
   EXPECT_EQ(ArtifactStore::hex16(0x00ffull), "00000000000000ff");
   const std::string p = store.path("jit", 0xdeadbeefull, "so");
   EXPECT_EQ(p, store.dir() + "/jit-00000000deadbeef.so");
+  std::filesystem::remove_all(store.dir());
 }
 
 TEST(ArtifactStore, PutViaFailureLeavesNoArtifact) {
@@ -72,6 +79,7 @@ TEST(ArtifactStore, PutViaFailureLeavesNoArtifact) {
   std::string content;
   ASSERT_TRUE(store.fetch("jit", key, "so", &content));
   EXPECT_EQ(content, "fake image");
+  std::filesystem::remove_all(store.dir());
 }
 
 TEST(ArtifactStore, ExplicitDirWinsOverEnvChain) {
@@ -202,7 +210,7 @@ TEST(Pipeline, AllEnginesReachableWithTraceParity) {
     }
   }
   EXPECT_GE(reached, 5);  // at minimum the in-process engines + cppgen
-  std::system(("rm -rf " + store).c_str());
+  std::filesystem::remove_all(store);
 }
 
 TEST(Pipeline, JitWarmCompileHitsTheStore) {
@@ -214,7 +222,7 @@ TEST(Pipeline, JitWarmCompileHitsTheStore) {
   req.engine = "jit";
   req.store_dir = store;
   // Wait for native code: a tiered bind returns before the compiler ran.
-  req.tiered = false;
+  req.swap_at = 0;
 
   CompileResult cold = pipeline::compile(req);
   ASSERT_TRUE(cold.ok) << cold.error;
@@ -232,7 +240,7 @@ TEST(Pipeline, JitWarmCompileHitsTheStore) {
       EXPECT_EQ(cold.instance->probe(p), warm.instance->probe(p))
           << "cycle " << c << " net " << p;
   }
-  std::system(("rm -rf " + store).c_str());
+  std::filesystem::remove_all(store);
 }
 
 TEST(Pipeline, RequestKeySeparatesEngineAndPasses) {

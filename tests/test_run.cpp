@@ -64,7 +64,7 @@ RunFn engine_run(const std::string& engine, sched::CycleScheduler& sched) {
   if (engine == "jit") {
     jit::JitOptions jo;
     jo.cache_dir = ::testing::TempDir() + "/asicpp_run_contract_store";
-    auto js = std::make_shared<jit::JitSystem>(jit::JitSystem::compile(sched, {}, jo));
+    auto js = std::make_shared<sim::CompiledSystem>(jit::compile(sched, {}, jo));
     EXPECT_TRUE(js->native()) << "jit fell back to the tape";
     return [js](const RunOptions& o) { return js->run(o); };
   }
@@ -559,7 +559,7 @@ TEST(PortTables, PinDrivenOnLiveSchedulerReachesCompiledAndJit) {
   jit::JitOptions jo;
   jo.cache_dir = ::testing::TempDir() + "/asicpp_port_tables_store";
   sim::CompiledSystem cs = sim::CompiledSystem::compile(sched);
-  jit::JitSystem js = jit::JitSystem::compile(sched, {}, jo);
+  sim::CompiledSystem js = jit::compile(sched, {}, jo);
   ASSERT_TRUE(js.native());
   const auto step = [&] {
     cs.cycle();

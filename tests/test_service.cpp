@@ -640,9 +640,10 @@ TEST(Service, SpecSessionMatchesDirectTrace) {
 /// N parallel jit sessions opened from one spec share the cached artifact
 /// and every one of them produces a trace bit-identical to a solo run.
 TEST(Service, ParallelSessionsOnOneCachedArtifactAreBitIdentical) {
-  const std::string store =
-      "/tmp/asicpp_svc_par_store_" + std::to_string(static_cast<long>(getpid()));
-  std::system(("rm -rf " + store).c_str());
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string store = std::string(tmp != nullptr ? tmp : "/tmp") +
+                            "/asicpp_svc_par_store_" + std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(store);
   setenv("ASICPP_STORE_DIR", store.c_str(), 1);
 
   // Adapters are outside the jit domain; keep the generated spec inside it.
@@ -658,7 +659,7 @@ TEST(Service, ParallelSessionsOnOneCachedArtifactAreBitIdentical) {
   req.engine = "jit";
   // Wait for native code, so the artifact is in the store before the
   // sessions open.
-  req.tiered = false;
+  req.swap_at = 0;
   pipeline::CompileResult solo = pipeline::compile(req);
   ASSERT_TRUE(solo.ok) << solo.error;
   std::vector<std::vector<double>> reference;
@@ -708,7 +709,7 @@ TEST(Service, ParallelSessionsOnOneCachedArtifactAreBitIdentical) {
     ok_rpc(svc, R"({"op":"close","session":")" + sids[i] + R"("})");
   }
   unsetenv("ASICPP_STORE_DIR");
-  std::system(("rm -rf " + store).c_str());
+  std::filesystem::remove_all(store);
 }
 
 // --- checkpoint / fork ------------------------------------------------------

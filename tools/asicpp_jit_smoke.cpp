@@ -84,7 +84,7 @@ std::vector<SmokeRow> g_rows;
 /// Returns the measured JIT cycles/s (cross-check cycles excluded from the
 /// timed region).
 template <typename DriveFn>
-double run_checked(jit::JitSystem& js, sim::CompiledSystem& cs,
+double run_checked(sim::CompiledSystem& js, sim::CompiledSystem& cs,
                    const std::vector<std::string>& nets, std::uint64_t cycles,
                    DriveFn&& drive_both) {
   for (std::uint64_t c = 0; c < cycles; ++c) {
@@ -115,7 +115,7 @@ double run_checked(jit::JitSystem& js, sim::CompiledSystem& cs,
   return secs > 0.0 ? static_cast<double>(timed) / secs : 0.0;
 }
 
-void record(const std::string& design, const jit::JitSystem& js,
+void record(const std::string& design, const sim::CompiledSystem& js,
             bool expect_cache_hit, double rate) {
   SmokeRow row;
   row.design = design;
@@ -137,7 +137,7 @@ void record(const std::string& design, const jit::JitSystem& js,
 
 void smoke_fig6(const jit::JitOptions& jo, bool warm) {
   Fig6System sys;
-  jit::JitSystem js = jit::JitSystem::compile(sys.sched, {}, jo);
+  sim::CompiledSystem js = jit::compile(sys.sched, {}, jo);
   Fig6System ref;
   sim::CompiledSystem cs = sim::CompiledSystem::compile(ref.sched);
   const double rate = run_checked(js, cs, {"n12", "n23", "n31"}, 2000,
@@ -148,7 +148,7 @@ void smoke_fig6(const jit::JitOptions& jo, bool warm) {
 void smoke_dect(const jit::JitOptions& jo, bool warm) {
   dect::DectTransceiver t;
   t.drive_sample(0.5);
-  jit::JitSystem js = jit::JitSystem::compile(t.scheduler(), {}, jo);
+  sim::CompiledSystem js = jit::compile(t.scheduler(), {}, jo);
   dect::DectTransceiver r;
   r.drive_sample(0.5);
   sim::CompiledSystem cs = sim::CompiledSystem::compile(r.scheduler());
